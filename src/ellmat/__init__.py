@@ -43,19 +43,17 @@ from .arrangement import (
 from .matroid import (
     ArithmeticMatroid,
     BiPoly,
-    Molecule,
     Violation,
     char_poly,
+    check_axioms,
     e2_poincare,
     euler_characteristic,
-    find_molecule,
     format_subset,
     from_arrangement,
     gcd_property,
     p_equivalence_holds,
     poly_eval,
     poly_str,
-    rho,
     submasks,
     tutte,
     verify_a1,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arrangement import (
     EllipticArrangement,
@@ -38,22 +38,17 @@ from .fileio import (
     serialize_arrangement,
 )
 from .matroid import (
+    AXIOM_NAMES,
     ArithmeticMatroid,
     Violation,
     char_poly,
+    check_axioms,
     euler_characteristic,
     format_subset,
     from_arrangement,
     gcd_property,
-    p_equivalence_holds,
     poly_str,
     tutte,
-    verify_a1,
-    verify_a2,
-    verify_matroid,
-    verify_p,
-    verify_p1,
-    verify_p2,
 )
 from .quadratic_order import CurveParams, ParameterError, make_curve, make_field, min_poly
 
@@ -114,17 +109,6 @@ def _print_table(rows: list[tuple[str, ...]]) -> None:
         print("  ".join(cells))
 
 
-def _axiom_verdicts(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
-    return {
-        "rank": verify_matroid(matroid),
-        "a1": verify_a1(matroid),
-        "a2": verify_a2(matroid),
-        "p": verify_p(matroid),
-        "p1": verify_p1(matroid),
-        "p2": verify_p2(matroid),
-    }
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
@@ -133,7 +117,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chi = char_poly(matroid)
     euler = euler_characteristic(matroid, arr.n, essential)
     holds, witness = gcd_property(matroid)
-    verdicts = _axiom_verdicts(matroid)
+    verdicts = check_axioms(matroid, ("rank", "a1", "a2", "p", "p1", "p2"))
 
     if args.json:
         doc = {
@@ -188,9 +172,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _check_dual_minor(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
+    # The contraction by T reads only the 2^k supersets of T.  T is the top
+    # n bits of the stacked ground set, so s | T for s < 2^k already lists
+    # them in the contraction's own order.
     stacked, t_mask = dual_arrangement(arr)
-    stacked_matroid = from_arrangement(stacked, max_ground=max(20, arr.k + arr.n))
-    if stacked_matroid.contraction(t_mask) != matroid.dual():
+    reports = [stacked.subset_report(s | t_mask) for s in range(1 << arr.k)]
+    base = reports[0].rank
+    contraction = ArithmeticMatroid(
+        arr.k,
+        tuple(rep.rank - base for rep in reports),
+        tuple(rep.multiplicity for rep in reports),
+    )
+    if contraction != matroid.dual():
         return (
             Violation(
                 "dual",
@@ -223,35 +216,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
     selected = AXIOM_CHOICES if args.axioms is None else tuple(args.axioms)
-
-    checks: list[tuple[str, tuple[Violation, ...]]] = [("rank", verify_matroid(matroid))]
-    runners: dict[str, Callable[[], tuple[Violation, ...]]] = {
-        "a1": lambda: verify_a1(matroid),
-        "a2": lambda: verify_a2(matroid),
-        "p": lambda: verify_p(matroid),
-        "p1": lambda: verify_p1(matroid),
-        "p2": lambda: verify_p2(matroid),
-        "dual": lambda: _check_dual_minor(arr, matroid),
-        "coker-xcheck": lambda: _check_coker_paths(arr),
-    }
-    for name in selected:
-        checks.append((name, runners[name]()))
-    if "p" in selected:
-        equivalent = p_equivalence_holds(matroid)
-        checks.append(
-            (
-                "p-equivalence",
-                ()
-                if equivalent
-                else (
-                    Violation(
-                        "p-equivalence",
-                        (),
-                        "(P) verdict differs from (A2) and (P1) and (P2)",
-                    ),
-                ),
-            )
-        )
+    named = ("rank", *selected, *(("p-equivalence",) if "p" in selected else ()))
+    verdicts = check_axioms(matroid, [name for name in named if name in AXIOM_NAMES])
+    if "dual" in selected:
+        verdicts["dual"] = _check_dual_minor(arr, matroid)
+    if "coker-xcheck" in selected:
+        verdicts["coker-xcheck"] = _check_coker_paths(arr)
+    checks = [(name, verdicts[name]) for name in named]
 
     ok = not any(v for _, v in checks)
     if args.json:

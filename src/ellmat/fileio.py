@@ -96,9 +96,11 @@ def parse_document(doc: Any) -> EllipticArrangement:
 
 
 def parse_text(text: str) -> EllipticArrangement:
+    # Besides JSONDecodeError, a ValueError is raised for integers past the
+    # int-to-string digit limit and RecursionError for arrays nested too deep.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ArrangementFormatError(f"invalid JSON: {exc}") from exc
     return parse_document(doc)
 

@@ -54,9 +54,6 @@ class IntMatrix:
             flat.extend(r)
         return cls(len(rows), width, tuple(flat))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 

@@ -20,9 +20,11 @@ rk(S) = rk(X) + |S & F| throughout, and
 
 (P) restricted to rank-constant intervals is (P1); (P1) on the dual matroid
 is (P2).  Verifiers treat violations as data, never as exceptions, so
-tampered tables can be inspected.  All scans are exhaustive: the molecule
-scan walks all 3^k nested pairs and submodularity all 4^k pairs, which is
-why ground sets are capped (default 20) when built from arrangements.
+tampered tables can be inspected.  `check_axioms` returns every verdict
+from one call.  (A2), (P), (P1) and (P2) come out of a single pass over
+the 3^k nested pairs [X, Y], with O(2^k) memory; submodularity is checked
+on all 4^k pairs.  That is why ground sets are capped (default 20) when
+built from arrangements.
 
 Subsets are bitmasks, bit i standing for element i+1.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arrangement import EllipticArrangement
 from .quadratic_order import ParameterError
@@ -154,17 +156,6 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class Molecule:
-    """Interval [x, y] with y = x + coloops + torsion elementwise disjoint,
-    on which rk(S) = rk(x) + |S & coloops|."""
-
-    x: int
-    y: int
-    coloops: int
-    loops: int
-
-
 def verify_matroid(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Exhaustive check of the rank axioms (r1)-(r3); violations are returned, not raised."""
     out: list[Violation] = []
@@ -230,125 +221,141 @@ def verify_a1(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def find_molecule(matroid: ArithmeticMatroid, x: int, y: int) -> Molecule | None:
-    """The molecule on [x, y] if one exists, else None.
+AXIOM_NAMES = ("rank", "a1", "a2", "p", "p1", "p2", "p-equivalence")
+_INTERVAL_AXIOMS = frozenset(AXIOM_NAMES[2:])
 
-    The partition, when it exists, is forced: an element i of y - x is a
-    loop of the interval exactly when rk(x + i) = rk(x).  The candidate
-    split is then verified on every subset of the interval.
+
+def _span(x: int, y: int) -> str:
+    return f"[{format_subset(x)}, {format_subset(y)}]"
+
+
+def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
+    """Verdicts of (A2), (P), (P1), (P2) and the (P) equivalence in one walk.
+
+    For each top set Y, ascending, g(X) = sum over S in [X, Y] of
+    (-1)^|Y - S| m(S) is formed for every X inside Y by a superset sum over
+    the subcube of Y, so memory stays O(2^k).  X then runs down submasks(Y):
+
+    - [X, Y] is a molecule when rk(Y) = rk(X) + |(Y - X) & F_X|, with
+      F_X = {i not in X : rk(X + i) > rk(X)}; the loops T are the rest of
+      Y - X and rho(X, Y) = (-1)^|T| g(X).  This closed form presumes
+      (r1)-(r3): on tables breaking them it can name other molecules than
+      an exhaustive check of rk over the interval would.
+    - (P1) reads the rank-constant intervals, where rho = (-1)^|Y - X| g(X).
+    - (P2) is (P1) of the dual on [E - Y, E - X].  That interval is
+      rank-constant for the dual exactly when rk(Y) - rk(X) = |Y - X|, and
+      its rho is g(X), so no dual tables are built.  Its violations are
+      reported in the order a scan of the dual would find them.
     """
-    if x & ~y:
-        raise ParameterError("x must be a subset of y")
-    diff = y & ~x
-    rk = matroid.rk
-    base = rk[x]
-    loops = 0
-    for i in bit_indices(diff):
-        if rk[x | 1 << i] == base:
-            loops |= 1 << i
-    coloops = diff & ~loops
-    for sub in submasks(diff):
-        if rk[x | sub] != base + (sub & coloops).bit_count():
-            return None
-    return Molecule(x=x, y=y, coloops=coloops, loops=loops)
+    rk, m = matroid.rk, matroid.m
+    e = matroid.ground_mask
+    raising = [
+        sum(1 << i for i in range(matroid.size) if not x >> i & 1 and rk[x | 1 << i] > rk[x])
+        for x in range(e + 1)
+    ]
+    a2: list[Violation] = []
+    p: list[Violation] = []
+    p1: list[Violation] = []
+    dual_hits: list[tuple[int, int, int]] = []
+    for y in range(e + 1):
+        ry = rk[y]
+        # subs[c] is the submask of y holding the bits of y that c selects,
+        # so subs ascends with c and the walk below is submasks(y).
+        subs = [0]
+        for i in bit_indices(y):
+            subs += [s | 1 << i for s in subs]
+        g = [-m[s] if (y ^ s).bit_count() & 1 else m[s] for s in subs]
+        step = 1
+        while step < len(g):
+            for c in range(len(g)):
+                if c & step:
+                    g[c ^ step] += g[c]
+            step <<= 1
+        for c in range(len(subs) - 1, -1, -1):
+            x, value = subs[c], g[c]
+            rx, diff = rk[x], y ^ x
+            coloops = diff & raising[x]
+            if ry == rx + coloops.bit_count():
+                loops = diff ^ coloops
+                lhs, rhs = m[x] * m[y], m[x | coloops] * m[x | loops]
+                if lhs != rhs:
+                    detail = f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on {_span(x, y)}"
+                    a2.append(Violation("a2", (x, y), detail))
+                signed = -value if loops.bit_count() & 1 else value
+                if signed < 0:
+                    p.append(Violation("p", (x, y), f"rho = {signed} < 0 on {_span(x, y)}"))
+            if rx == ry:
+                signed = -value if diff.bit_count() & 1 else value
+                if signed < 0:
+                    detail = f"rho = {signed} < 0 on rank-constant {_span(x, y)}"
+                    p1.append(Violation("p1", (x, y), detail))
+            if ry - rx == diff.bit_count() and value < 0:
+                dual_hits.append((e ^ y, e ^ x, value))
+    dual_hits.sort(key=lambda hit: (hit[1], -hit[0]))
+    p2 = tuple(
+        Violation("p2", (x, y), f"rho = {value} < 0 on rank-constant {_span(x, y)} (dual)")
+        for x, y, value in dual_hits
+    )
+    differs = (not p) != (not (a2 or p1 or p2))
+    mismatch = Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)")
+    return {
+        "a2": tuple(a2),
+        "p": tuple(p),
+        "p1": tuple(p1),
+        "p2": p2,
+        "p-equivalence": (mismatch,) if differs else (),
+    }
 
 
-def rho(matroid: ArithmeticMatroid, molecule: Molecule) -> int:
-    """Signed inclusion-exclusion of multiplicities over the molecule's interval."""
-    m = matroid.m
-    diff = molecule.y & ~molecule.x
-    total = 0
-    size_diff = diff.bit_count()
-    for sub in submasks(diff):
-        sign = -1 if (size_diff - sub.bit_count()) & 1 else 1
-        total += sign * m[molecule.x | sub]
-    if molecule.loops.bit_count() & 1:
-        total = -total
-    return total
+def check_axioms(
+    matroid: ArithmeticMatroid, names: Iterable[str]
+) -> dict[str, tuple[Violation, ...]]:
+    """Violations of each named check, keyed in the order first named.
 
-
-def _molecule_scan(matroid: ArithmeticMatroid) -> Iterator[Molecule]:
-    for y in range(1 << matroid.size):
-        for x in submasks(y):
-            mol = find_molecule(matroid, x, y)
-            if mol is not None:
-                yield mol
+    Names come from AXIOM_NAMES: rank is (r1)-(r3), a1 is (A1), and a2, p,
+    p1, p2 and p-equivalence (whether (P) holds exactly when (A2), (P1) and
+    (P2) all do) are read off one interval pass, run only when one of them
+    is named.
+    """
+    names = tuple(dict.fromkeys(names))
+    unknown = [name for name in names if name not in AXIOM_NAMES]
+    if unknown:
+        raise ParameterError(f"unknown axioms {unknown}; choose from {', '.join(AXIOM_NAMES)}")
+    interval = _interval_pass(matroid) if _INTERVAL_AXIOMS.intersection(names) else {}
+    verdicts: dict[str, tuple[Violation, ...]] = {}
+    for name in names:
+        if name == "rank":
+            verdicts[name] = verify_matroid(matroid)
+        elif name == "a1":
+            verdicts[name] = verify_a1(matroid)
+        else:
+            verdicts[name] = interval[name]
+    return verdicts
 
 
 def verify_a2(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Multiplicativity axiom (A2) over every molecule found by exhaustive scan."""
-    out: list[Violation] = []
-    m = matroid.m
-    for mol in _molecule_scan(matroid):
-        lhs = m[mol.x] * m[mol.y]
-        rhs = m[mol.x | mol.coloops] * m[mol.x | mol.loops]
-        if lhs != rhs:
-            out.append(
-                Violation(
-                    "a2",
-                    (mol.x, mol.y),
-                    f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on "
-                    f"[{format_subset(mol.x)}, {format_subset(mol.y)}]",
-                )
-            )
-    return tuple(out)
+    """Multiplicativity axiom (A2) on every molecule."""
+    return _interval_pass(matroid)["a2"]
 
 
 def verify_p(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Positivity axiom (P) over every molecule."""
-    out: list[Violation] = []
-    for mol in _molecule_scan(matroid):
-        value = rho(matroid, mol)
-        if value < 0:
-            out.append(
-                Violation(
-                    "p",
-                    (mol.x, mol.y),
-                    f"rho = {value} < 0 on "
-                    f"[{format_subset(mol.x)}, {format_subset(mol.y)}]",
-                )
-            )
-    return tuple(out)
-
-
-def _verify_p1_on(matroid: ArithmeticMatroid, axiom: str, note: str) -> tuple[Violation, ...]:
-    # Rank-constant intervals are automatically molecules with no coloops.
-    out: list[Violation] = []
-    rk = matroid.rk
-    for y in range(1 << matroid.size):
-        ry = rk[y]
-        for x in submasks(y):
-            if rk[x] != ry:
-                continue
-            mol = Molecule(x=x, y=y, coloops=0, loops=y & ~x)
-            value = rho(matroid, mol)
-            if value < 0:
-                out.append(
-                    Violation(
-                        axiom,
-                        (x, y),
-                        f"rho = {value} < 0 on rank-constant "
-                        f"[{format_subset(x)}, {format_subset(y)}]{note}",
-                    )
-                )
-    return tuple(out)
+    """Positivity axiom (P) on every molecule."""
+    return _interval_pass(matroid)["p"]
 
 
 def verify_p1(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Axiom (P1): positivity on rank-constant intervals."""
-    return _verify_p1_on(matroid, "p1", "")
+    return _interval_pass(matroid)["p1"]
 
 
 def verify_p2(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Axiom (P2): positivity on rank-constant intervals of the dual."""
-    return _verify_p1_on(matroid.dual(), "p2", " (dual)")
+    return _interval_pass(matroid)["p2"]
 
 
 def p_equivalence_holds(matroid: ArithmeticMatroid) -> bool:
     """Cross-check that (P) holds exactly when (A2), (P1) and (P2) all hold."""
-    p_ok = not verify_p(matroid)
-    rest_ok = not (verify_a2(matroid) or verify_p1(matroid) or verify_p2(matroid))
-    return p_ok == rest_ok
+    return not _interval_pass(matroid)["p-equivalence"]
 
 
 def gcd_property(matroid: ArithmeticMatroid) -> tuple[bool, int | None]:
@@ -384,12 +391,6 @@ class BiPoly:
     def from_dict(cls, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
         cleaned = sorted((i, j, c) for (i, j), c in coeffs.items() if c != 0)
         return cls(tuple(cleaned))
-
-    def coefficient(self, deg1: int, deg2: int) -> int:
-        for i, j, c in self.terms:
-            if (i, j) == (deg1, deg2):
-                return c
-        return 0
 
     def evaluate(self, v1: int, v2: int) -> int:
         return sum(c * v1**i * v2**j for i, j, c in self.terms)

@@ -8,14 +8,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
+from typing import NamedTuple
 
 from ellmat import (
     EllipticArrangement,
     FieldParams,
     IntMatrix,
+    ParameterError,
     RingMatrix,
+    Violation,
+    format_subset,
     make_curve,
     make_field,
+    submasks,
 )
 
 
@@ -286,3 +291,131 @@ def prime_factors(value: int) -> list[int]:
     if value > 1:
         out.append(value)
     return out
+
+
+# Slow reference for the interval pass: the exhaustive molecule scans the
+# library used before it read every molecule axiom off one interval walk.
+# Each candidate interval is checked subset by subset, and (P2) builds the
+# dual tables and rescans them.  perfbench/run.py loads this file without
+# registering it in sys.modules, which a dataclass here would need.
+
+
+class Molecule(NamedTuple):
+    """Interval [x, y] with y = x + coloops + loops elementwise disjoint,
+    on which rk(S) = rk(x) + |S & coloops|."""
+
+    x: int
+    y: int
+    coloops: int
+    loops: int
+
+
+def find_molecule(matroid, x: int, y: int) -> Molecule | None:
+    """The molecule on [x, y] if one exists, else None.
+
+    The partition, when it exists, is forced: an element i of y - x is a
+    loop of the interval exactly when rk(x + i) = rk(x).  The candidate
+    split is then verified on every subset of the interval.
+    """
+    if x & ~y:
+        raise ParameterError("x must be a subset of y")
+    diff = y & ~x
+    rk = matroid.rk
+    base = rk[x]
+    loops = 0
+    for i in range(diff.bit_length()):
+        if diff >> i & 1 and rk[x | 1 << i] == base:
+            loops |= 1 << i
+    coloops = diff & ~loops
+    for sub in submasks(diff):
+        if rk[x | sub] != base + (sub & coloops).bit_count():
+            return None
+    return Molecule(x=x, y=y, coloops=coloops, loops=loops)
+
+
+def rho(matroid, molecule: Molecule) -> int:
+    """Signed inclusion-exclusion of multiplicities over the molecule's interval."""
+    m = matroid.m
+    diff = molecule.y & ~molecule.x
+    total = 0
+    for sub in submasks(diff):
+        sign = -1 if (diff.bit_count() - sub.bit_count()) & 1 else 1
+        total += sign * m[molecule.x | sub]
+    return -total if molecule.loops.bit_count() & 1 else total
+
+
+def _molecule_scan(matroid):
+    for y in range(1 << matroid.size):
+        for x in submasks(y):
+            mol = find_molecule(matroid, x, y)
+            if mol is not None:
+                yield mol
+
+
+def _scan_a2(matroid):
+    out, m = [], matroid.m
+    for mol in _molecule_scan(matroid):
+        lhs = m[mol.x] * m[mol.y]
+        rhs = m[mol.x | mol.coloops] * m[mol.x | mol.loops]
+        if lhs != rhs:
+            out.append(
+                Violation(
+                    "a2",
+                    (mol.x, mol.y),
+                    f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on "
+                    f"[{format_subset(mol.x)}, {format_subset(mol.y)}]",
+                )
+            )
+    return tuple(out)
+
+
+def _scan_p(matroid):
+    out = []
+    for mol in _molecule_scan(matroid):
+        value = rho(matroid, mol)
+        if value < 0:
+            out.append(
+                Violation(
+                    "p",
+                    (mol.x, mol.y),
+                    f"rho = {value} < 0 on [{format_subset(mol.x)}, {format_subset(mol.y)}]",
+                )
+            )
+    return tuple(out)
+
+
+def _scan_p1(matroid, axiom: str = "p1", note: str = ""):
+    out, rk = [], matroid.rk
+    for y in range(1 << matroid.size):
+        for x in submasks(y):
+            if rk[x] != rk[y]:
+                continue
+            value = rho(matroid, Molecule(x=x, y=y, coloops=0, loops=y & ~x))
+            if value < 0:
+                out.append(
+                    Violation(
+                        axiom,
+                        (x, y),
+                        f"rho = {value} < 0 on rank-constant "
+                        f"[{format_subset(x)}, {format_subset(y)}]{note}",
+                    )
+                )
+    return tuple(out)
+
+
+def molecule_scan_verdicts(matroid) -> dict:
+    """(A2), (P), (P1), (P2) and the (P) equivalence by exhaustive scans,
+    keyed as `check_axioms` keys them."""
+    verdicts = {
+        "a2": _scan_a2(matroid),
+        "p": _scan_p(matroid),
+        "p1": _scan_p1(matroid),
+        "p2": _scan_p1(matroid.dual(), "p2", " (dual)"),
+    }
+    rest_ok = not (verdicts["a2"] or verdicts["p1"] or verdicts["p2"])
+    verdicts["p-equivalence"] = (
+        ()
+        if (not verdicts["p"]) == rest_ok
+        else (Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)"),)
+    )
+    return verdicts

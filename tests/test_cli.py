@@ -120,9 +120,11 @@ def test_verify_selected_axioms_json(sqrt3_file, capsys):
 def test_verify_exit_code_on_violation(sqrt3_file, capsys, monkeypatch):
     from ellmat.matroid import Violation
 
-    monkeypatch.setattr(
-        cli, "verify_a1", lambda m: (Violation("a1", (0,), "injected failure"),)
-    )
+    def fake_check_axioms(matroid, names):
+        injected = (Violation("a1", (0,), "injected failure"),)
+        return {name: injected if name == "a1" else () for name in names}
+
+    monkeypatch.setattr(cli, "check_axioms", fake_check_axioms)
     code, out, _ = run_cli(capsys, "verify", sqrt3_file, "--axioms", "a1")
     assert code == 1
     assert "a1: FAIL" in out
@@ -212,3 +214,22 @@ def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/path.json")
     assert code == 2
     assert "error:" in err
+
+
+def test_huge_integer_exit_code(tmp_path, capsys):
+    # Past 4300 digits int() refuses the literal; json.loads raises ValueError.
+    path = tmp_path / "huge.json"
+    path.write_text('{"field": {"m": ' + "7" * 5000 + "}}")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_deep_nesting_exit_code(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err

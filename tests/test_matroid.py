@@ -8,17 +8,16 @@ from ellmat import (
     ParameterError,
     RingMatrix,
     char_poly,
+    check_axioms,
     dual_arrangement,
     e2_poincare,
     euler_characteristic,
-    find_molecule,
     format_subset,
     from_arrangement,
     gcd_property,
     p_equivalence_holds,
     poly_eval,
     poly_str,
-    rho,
     tutte,
     verify_a1,
     verify_a2,
@@ -30,8 +29,11 @@ from ellmat import (
 from support import (
     arrangement_corpus,
     curve_sqrt3,
+    find_molecule,
+    molecule_scan_verdicts,
     new_realization_omega,
     new_realization_sqrt3,
+    rho,
 )
 
 
@@ -128,6 +130,46 @@ def test_rho_values():
     assert rho(matroid, mol) == 3
     mol = find_molecule(matroid, 0b01, 0b01)
     assert rho(matroid, mol) == matroid.m[0b01]
+
+
+def test_interval_pass_matches_exhaustive_scans():
+    # The interval pass against the molecule-by-molecule scans it replaced,
+    # on the corpus and on seeded tamperings.  Multiplicity tampering keeps
+    # (r1)-(r3), so every verdict must agree, order and detail included.
+    # Rank tampering breaks them, where the pass's closed-form molecule test
+    # may differ for (A2) and (P), but (P1) and (P2) must still agree.
+    rng = random.Random(74)
+    names = ("a2", "p", "p1", "p2", "p-equivalence")
+    violations = 0
+    for arr in arrangement_corpus(200):
+        matroid = from_arrangement(arr)
+        tampered = [matroid]
+        for _ in range(4):
+            m = list(matroid.m)
+            for _ in range(rng.randint(1, 4)):
+                m[rng.randrange(len(m))] = rng.randint(1, 12)
+            tampered.append(ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)))
+        for table in tampered:
+            verdicts = check_axioms(table, names)
+            assert verdicts == molecule_scan_verdicts(table)
+            violations += sum(len(v) for v in verdicts.values())
+        rk = list(matroid.rk)
+        s = rng.randrange(len(rk))
+        rk[s] = max(0, rk[s] + rng.choice((-1, 1)))
+        broken = ArithmeticMatroid(matroid.size, tuple(rk), matroid.m)
+        verdicts = check_axioms(broken, ("p1", "p2"))
+        reference = molecule_scan_verdicts(broken)
+        assert verdicts == {"p1": reference["p1"], "p2": reference["p2"]}
+    assert violations > 1000
+
+
+def test_check_axioms_names():
+    matroid = _example_matroid()
+    verdicts = check_axioms(matroid, ("p", "rank", "p", "a1"))
+    assert list(verdicts) == ["p", "rank", "a1"]
+    assert all(v == () for v in verdicts.values())
+    with pytest.raises(ParameterError):
+        check_axioms(matroid, ("dual",))
 
 
 def test_positivity_axioms_on_examples():
