@@ -51,17 +51,10 @@ from .matroid import (
     format_subset,
     from_arrangement,
     gcd_property,
-    p_equivalence_holds,
     poly_eval,
     poly_str,
     submasks,
     tutte,
-    verify_a1,
-    verify_a2,
-    verify_matroid,
-    verify_p,
-    verify_p1,
-    verify_p2,
 )
 from .fileio import (
     ArrangementFormatError,

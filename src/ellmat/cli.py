@@ -24,12 +24,7 @@ import json
 import sys
 from typing import Sequence
 
-from .arrangement import (
-    EllipticArrangement,
-    dual_arrangement,
-    multiplicity_via_conj_transpose,
-    multiplicity_via_order_basis,
-)
+from .arrangement import EllipticArrangement, dual_arrangement
 from .fileio import (
     ArrangementFormatError,
     load_arrangement,
@@ -39,8 +34,7 @@ from .fileio import (
 )
 from .matroid import (
     AXIOM_NAMES,
-    ArithmeticMatroid,
-    Violation,
+    AXIOMS,
     char_poly,
     check_axioms,
     euler_characteristic,
@@ -52,7 +46,9 @@ from .matroid import (
 )
 from .quadratic_order import CurveParams, ParameterError, make_curve, make_field, min_poly
 
-AXIOM_CHOICES = ("a1", "a2", "p", "p1", "p2", "dual", "coker-xcheck")
+# verify checks rank on every run and p-equivalence whenever p is named, so
+# the --axioms choices are the other checks.
+AXIOM_CHOICES = tuple(name for name in AXIOM_NAMES if name not in ("rank", "p-equivalence"))
 
 
 def _order_info_lines(curve: CurveParams) -> list[str]:
@@ -117,7 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chi = char_poly(matroid)
     euler = euler_characteristic(matroid, arr.n, essential)
     holds, witness = gcd_property(matroid)
-    verdicts = check_axioms(matroid, ("rank", "a1", "a2", "p", "p1", "p2"))
+    verdicts = check_axioms(matroid, AXIOMS)
 
     if args.json:
         doc = {
@@ -171,57 +167,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_dual_minor(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    # The contraction by T reads only the 2^k supersets of T.  T is the top
-    # n bits of the stacked ground set, so s | T for s < 2^k already lists
-    # them in the contraction's own order.
-    stacked, t_mask = dual_arrangement(arr)
-    reports = [stacked.subset_report(s | t_mask) for s in range(1 << arr.k)]
-    base = reports[0].rank
-    contraction = ArithmeticMatroid(
-        arr.k,
-        tuple(rep.rank - base for rep in reports),
-        tuple(rep.multiplicity for rep in reports),
-    )
-    if contraction != matroid.dual():
-        return (
-            Violation(
-                "dual",
-                (t_mask,),
-                "contraction of the stacked arrangement by T does not match the dual tables",
-            ),
-        )
-    return ()
-
-
-def _check_coker_paths(arr: EllipticArrangement) -> tuple[Violation, ...]:
-    out = []
-    for subset in range(1 << arr.k):
-        direct = arr.multiplicity(subset)
-        via_order = multiplicity_via_order_basis(arr, subset)
-        via_conj = multiplicity_via_conj_transpose(arr, subset)
-        if not direct == via_order == via_conj:
-            out.append(
-                Violation(
-                    "coker-xcheck",
-                    (subset,),
-                    f"multiplicity of {format_subset(subset)} disagrees across bases: "
-                    f"{direct} / {via_order} / {via_conj}",
-                )
-            )
-    return tuple(out)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
-    matroid = from_arrangement(arr)
     selected = AXIOM_CHOICES if args.axioms is None else tuple(args.axioms)
     named = ("rank", *selected, *(("p-equivalence",) if "p" in selected else ()))
-    verdicts = check_axioms(matroid, [name for name in named if name in AXIOM_NAMES])
-    if "dual" in selected:
-        verdicts["dual"] = _check_dual_minor(arr, matroid)
-    if "coker-xcheck" in selected:
-        verdicts["coker-xcheck"] = _check_coker_paths(arr)
+    verdicts = check_axioms(from_arrangement(arr), named, arr)
     checks = [(name, verdicts[name]) for name in named]
 
     ok = not any(v for _, v in checks)

@@ -20,11 +20,19 @@ rk(S) = rk(X) + |S & F| throughout, and
 
 (P) restricted to rank-constant intervals is (P1); (P1) on the dual matroid
 is (P2).  Verifiers treat violations as data, never as exceptions, so
-tampered tables can be inspected.  `check_axioms` returns every verdict
-from one call.  (A2), (P), (P1) and (P2) come out of a single pass over
-the 3^k nested pairs [X, Y], with O(2^k) memory; submodularity is checked
-on all 4^k pairs.  That is why ground sets are capped (default 20) when
-built from arrangements.
+tampered tables can be inspected.
+
+API: `check_axioms(matroid, names, arrangement=None)` is the one verdict
+call.  Its nine names are rank ((r1)-(r3)), a1, a2, p, p1, p2,
+p-equivalence ((P) holds exactly when (A2), (P1) and (P2) do), and the
+cross-checks dual and coker-xcheck, which also read the arrangement the
+tables came from.
+
+Scale: rank and a1 come out of one local pass over the pairs (S, i) that
+checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
+out of a single pass over the 3^k nested pairs [X, Y], with O(2^k)
+memory.  That is why ground sets are capped (default 20) when built from
+arrangements.
 
 Subsets are bitmasks, bit i standing for element i+1.
 """
@@ -35,7 +43,12 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable, Iterator
 
-from .arrangement import EllipticArrangement
+from .arrangement import (
+    EllipticArrangement,
+    dual_arrangement,
+    multiplicity_via_conj_transpose,
+    multiplicity_via_order_basis,
+)
 from .quadratic_order import ParameterError
 
 
@@ -156,73 +169,60 @@ class Violation:
     detail: str
 
 
-def verify_matroid(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Exhaustive check of the rank axioms (r1)-(r3); violations are returned, not raised."""
-    out: list[Violation] = []
-    rk = matroid.rk
-    if rk[0] != 0:
-        out.append(Violation("r1", (0,), f"rk({format_subset(0)}) = {rk[0]} != 0"))
-    total = 1 << matroid.size
-    for s in range(total):
-        base = rk[s]
-        for i in range(matroid.size):
-            if s >> i & 1:
-                continue
-            step = rk[s | 1 << i]
-            if not base <= step <= base + 1:
-                out.append(
-                    Violation(
-                        "r2",
-                        (s, s | 1 << i),
-                        f"rk jumps from {base} to {step} adding {i + 1} to {format_subset(s)}",
-                    )
-                )
-    for x in range(total):
-        for y in range(x, total):
-            if rk[x | y] + rk[x & y] > rk[x] + rk[y]:
-                out.append(
-                    Violation(
-                        "r3",
-                        (x, y),
-                        f"rk not submodular on {format_subset(x)}, {format_subset(y)}",
-                    )
-                )
-    return tuple(out)
+# The arithmetic-matroid axioms, in the order `analyze` reports them.
+AXIOMS = ("rank", "a1", "a2", "p", "p1", "p2")
+# Every check name: the axioms, the (P) equivalence, and two cross-checks
+# against the arrangement the tables came from.
+AXIOM_NAMES = (*AXIOMS, "p-equivalence", "dual", "coker-xcheck")
+_LOCAL_AXIOMS = frozenset(("rank", "a1"))
+_INTERVAL_AXIOMS = frozenset(("a2", "p", "p1", "p2", "p-equivalence"))
+_ARRANGEMENT_CHECKS = frozenset(("dual", "coker-xcheck"))
 
 
-def verify_a1(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Divisibility axiom (A1) over all (S, i not in S)."""
-    out: list[Violation] = []
+def _local_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
+    """Verdicts of (r1)-(r3) and (A1) in one walk over (S, i), i not in S.
+
+    (r3) is checked in its local form rk(S+i) + rk(S+j) >= rk(S+i+j) + rk(S)
+    for j > i outside S, which is equivalent to submodularity on all pairs
+    (Oxley, Matroid Theory, ch. 1) and costs O(2^k k^2) instead of 4^k.  A
+    violation names the local pair (S+i, S+j).
+    """
     rk, m = matroid.rk, matroid.m
+    r1 = [Violation("r1", (0,), f"rk({format_subset(0)}) = {rk[0]} != 0")] if rk[0] else []
+    r2: list[Violation] = []
+    r3: list[Violation] = []
+    a1: list[Violation] = []
     for s in range(1 << matroid.size):
-        for i in range(matroid.size):
-            if s >> i & 1:
-                continue
-            si = s | 1 << i
-            if rk[si] == rk[s]:
-                if m[s] % m[si]:
-                    out.append(
-                        Violation(
-                            "a1",
-                            (s, si),
-                            f"m({format_subset(si)}) = {m[si]} does not divide "
-                            f"m({format_subset(s)}) = {m[s]}",
-                        )
-                    )
-            elif m[si] % m[s]:
-                out.append(
-                    Violation(
-                        "a1",
-                        (s, si),
-                        f"m({format_subset(s)}) = {m[s]} does not divide "
-                        f"m({format_subset(si)}) = {m[si]}",
-                    )
+        base, ms = rk[s], m[s]
+        outside = [1 << i for i in range(matroid.size) if not s >> i & 1]
+        for pos, bit in enumerate(outside):
+            si = s | bit
+            step = rk[si]
+            if not base <= step <= base + 1:
+                detail = (
+                    f"rk jumps from {base} to {step} adding {bit.bit_length()} "
+                    f"to {format_subset(s)}"
                 )
-    return tuple(out)
-
-
-AXIOM_NAMES = ("rank", "a1", "a2", "p", "p1", "p2", "p-equivalence")
-_INTERVAL_AXIOMS = frozenset(AXIOM_NAMES[2:])
+                r2.append(Violation("r2", (s, si), detail))
+            if step == base:
+                if ms % m[si]:
+                    detail = (
+                        f"m({format_subset(si)}) = {m[si]} does not divide "
+                        f"m({format_subset(s)}) = {ms}"
+                    )
+                    a1.append(Violation("a1", (s, si), detail))
+            elif m[si] % ms:
+                detail = (
+                    f"m({format_subset(s)}) = {ms} does not divide "
+                    f"m({format_subset(si)}) = {m[si]}"
+                )
+                a1.append(Violation("a1", (s, si), detail))
+            for other in outside[pos + 1 :]:
+                sj = s | other
+                if rk[si | other] + base > step + rk[sj]:
+                    detail = f"rk not submodular on {format_subset(si)}, {format_subset(sj)}"
+                    r3.append(Violation("r3", (si, sj), detail))
+    return {"rank": (*r1, *r2, *r3), "a1": tuple(a1)}
 
 
 def _span(x: int, y: int) -> str:
@@ -307,55 +307,78 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     }
 
 
+def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
+    """Whether the stacked arrangement contracted by T gives the dual tables.
+
+    The contraction reads only the 2^k supersets of T.  T is the top n bits
+    of the stacked ground set, so s | T for s < 2^k lists them in the
+    contraction's own order.
+    """
+    stacked, t_mask = dual_arrangement(arr)
+    reports = [stacked.subset_report(s | t_mask) for s in range(1 << arr.k)]
+    base = reports[0].rank
+    contraction = ArithmeticMatroid(
+        arr.k,
+        tuple(rep.rank - base for rep in reports),
+        tuple(rep.multiplicity for rep in reports),
+    )
+    if contraction == matroid.dual():
+        return ()
+    detail = "contraction of the stacked arrangement by T does not match the dual tables"
+    return (Violation("dual", (t_mask,), detail),)
+
+
+def _coker_check(arr: EllipticArrangement) -> tuple[Violation, ...]:
+    """Whether every multiplicity agrees across the three cokernel bases."""
+    out = []
+    for subset in range(1 << arr.k):
+        direct = arr.multiplicity(subset)
+        via_order = multiplicity_via_order_basis(arr, subset)
+        via_conj = multiplicity_via_conj_transpose(arr, subset)
+        if not direct == via_order == via_conj:
+            detail = (
+                f"multiplicity of {format_subset(subset)} disagrees across bases: "
+                f"{direct} / {via_order} / {via_conj}"
+            )
+            out.append(Violation("coker-xcheck", (subset,), detail))
+    return tuple(out)
+
+
 def check_axioms(
-    matroid: ArithmeticMatroid, names: Iterable[str]
+    matroid: ArithmeticMatroid,
+    names: Iterable[str],
+    arrangement: EllipticArrangement | None = None,
 ) -> dict[str, tuple[Violation, ...]]:
     """Violations of each named check, keyed in the order first named.
 
-    Names come from AXIOM_NAMES: rank is (r1)-(r3), a1 is (A1), and a2, p,
-    p1, p2 and p-equivalence (whether (P) holds exactly when (A2), (P1) and
-    (P2) all do) are read off one interval pass, run only when one of them
-    is named.
+    This is the one way to get a verdict.  Names come from AXIOM_NAMES:
+
+    - rank is (r1)-(r3) and a1 is (A1), both read off one local pass;
+    - a2, p, p1, p2 and p-equivalence (whether (P) holds exactly when
+      (A2), (P1) and (P2) all do) are read off one interval pass;
+    - dual checks that the stacked arrangement realizes the dual tables,
+      and coker-xcheck that every multiplicity agrees across the three
+      cokernel bases.  Both read `arrangement`, the arrangement the tables
+      came from, and raise ParameterError without it.
+
+    Each pass runs at most once, and only when one of its names is asked.
     """
     names = tuple(dict.fromkeys(names))
     unknown = [name for name in names if name not in AXIOM_NAMES]
     if unknown:
         raise ParameterError(f"unknown axioms {unknown}; choose from {', '.join(AXIOM_NAMES)}")
-    interval = _interval_pass(matroid) if _INTERVAL_AXIOMS.intersection(names) else {}
-    verdicts: dict[str, tuple[Violation, ...]] = {}
-    for name in names:
-        if name == "rank":
-            verdicts[name] = verify_matroid(matroid)
-        elif name == "a1":
-            verdicts[name] = verify_a1(matroid)
-        else:
-            verdicts[name] = interval[name]
-    return verdicts
-
-
-def verify_a2(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Multiplicativity axiom (A2) on every molecule."""
-    return _interval_pass(matroid)["a2"]
-
-
-def verify_p(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Positivity axiom (P) on every molecule."""
-    return _interval_pass(matroid)["p"]
-
-
-def verify_p1(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Axiom (P1): positivity on rank-constant intervals."""
-    return _interval_pass(matroid)["p1"]
-
-
-def verify_p2(matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Axiom (P2): positivity on rank-constant intervals of the dual."""
-    return _interval_pass(matroid)["p2"]
-
-
-def p_equivalence_holds(matroid: ArithmeticMatroid) -> bool:
-    """Cross-check that (P) holds exactly when (A2), (P1) and (P2) all hold."""
-    return not _interval_pass(matroid)["p-equivalence"]
+    if arrangement is None and _ARRANGEMENT_CHECKS.intersection(names):
+        raise ParameterError("the dual and coker-xcheck checks need the arrangement")
+    found: dict[str, tuple[Violation, ...]] = {}
+    if _LOCAL_AXIOMS.intersection(names):
+        found.update(_local_pass(matroid))
+    if _INTERVAL_AXIOMS.intersection(names):
+        found.update(_interval_pass(matroid))
+    if "dual" in names:
+        found["dual"] = _dual_check(arrangement, matroid)
+    if "coker-xcheck" in names:
+        found["coker-xcheck"] = _coker_check(arrangement)
+    return {name: found[name] for name in names}
 
 
 def gcd_property(matroid: ArithmeticMatroid) -> tuple[bool, int | None]:
@@ -417,19 +440,23 @@ class BiPoly:
 
 def tutte(matroid: ArithmeticMatroid) -> BiPoly:
     """Arithmetic Tutte polynomial
-    sum over S of m(S) (x-1)^(rk(E)-rk(S)) (y-1)^(|S|-rk(S))."""
+    sum over S of m(S) (x-1)^(rk(E)-rk(S)) (y-1)^(|S|-rk(S)).
+
+    m(S) is summed per exponent pair first, so the binomials are expanded
+    once per pair rather than once per subset.
+    """
     r = matroid.full_rank
-    acc: dict[tuple[int, int], int] = {}
+    buckets: dict[tuple[int, int], int] = {}
     for s in range(1 << matroid.size):
-        p = r - matroid.rk[s]
-        q = s.bit_count() - matroid.rk[s]
-        w = matroid.m[s]
+        key = (r - matroid.rk[s], s.bit_count() - matroid.rk[s])
+        buckets[key] = buckets.get(key, 0) + matroid.m[s]
+    acc: dict[tuple[int, int], int] = {}
+    for (p, q), w in buckets.items():
         for i in range(p + 1):
             ci = comb(p, i) * (-1 if (p - i) & 1 else 1)
             for j in range(q + 1):
                 cj = comb(q, j) * (-1 if (q - j) & 1 else 1)
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + w * ci * cj
+                acc[(i, j)] = acc.get((i, j), 0) + w * ci * cj
     return BiPoly.from_dict(acc)
 
 

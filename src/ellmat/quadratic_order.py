@@ -21,14 +21,29 @@ class ParameterError(ValueError):
     """Invalid field, curve, or element parameters."""
 
 
+# make_field refuses m at or above this, so is_square_free needs at most
+# about 1.3 million trial divisions.
+M_LIMIT = 1 << 64
+
+
 def is_square_free(m: int) -> bool:
-    """True if m >= 1 and no square > 1 divides m."""
+    """True if m >= 1 and no square > 1 divides m.
+
+    Trial division by 2 and the odd d with d^3 <= m divides out every such
+    prime, failing when d^2 divides m.  What is left has no prime factor d
+    with d^3 <= m, so it has at most two prime factors and is square-free
+    unless it is the square of a prime.  This costs O(m^(1/3)).
+    """
     if m < 1:
         return False
-    for d in range(2, isqrt(m) + 1):
-        if m % (d * d) == 0:
-            return False
-    return True
+    d = 2
+    while d * d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return False
+        d += 1 if d == 2 else 2
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 @dataclass(frozen=True)
@@ -52,9 +67,11 @@ class FieldParams:
 
 
 def make_field(m: int) -> FieldParams:
-    """Field parameters for Q(sqrt(-m)); m must be positive and square-free."""
+    """Field parameters for Q(sqrt(-m)); m must be positive, square-free and below 2^64."""
     if m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
+    if m >= M_LIMIT:
+        raise ParameterError(f"m must be below 2^64, got {m}")
     if not is_square_free(m):
         raise ParameterError(f"m must be square-free, got {m}")
     if m % 4 == 3:

@@ -7,10 +7,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from ellmat import (
+    BiPoly,
     EllipticArrangement,
     FieldParams,
     IntMatrix,
@@ -419,3 +420,92 @@ def molecule_scan_verdicts(matroid) -> dict:
         else (Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)"),)
     )
     return verdicts
+
+
+# Slow reference for the local pass: the exhaustive (r1)-(r3) scan, with
+# submodularity on all 4^k pairs, and the (A1) loop the library used before
+# it read rank and (A1) off one walk over (S, i).
+
+
+def rank_and_a1_scan(matroid) -> dict:
+    """(r1)-(r3) and (A1) by exhaustive scans, keyed as `check_axioms` keys them."""
+    rank, a1 = [], []
+    rk, m = matroid.rk, matroid.m
+    if rk[0] != 0:
+        rank.append(Violation("r1", (0,), f"rk({format_subset(0)}) = {rk[0]} != 0"))
+    total = 1 << matroid.size
+    for s in range(total):
+        for i in range(matroid.size):
+            if s >> i & 1:
+                continue
+            si = s | 1 << i
+            if not rk[s] <= rk[si] <= rk[s] + 1:
+                rank.append(
+                    Violation(
+                        "r2",
+                        (s, si),
+                        f"rk jumps from {rk[s]} to {rk[si]} adding {i + 1} to {format_subset(s)}",
+                    )
+                )
+            if rk[si] == rk[s]:
+                if m[s] % m[si]:
+                    a1.append(
+                        Violation(
+                            "a1",
+                            (s, si),
+                            f"m({format_subset(si)}) = {m[si]} does not divide "
+                            f"m({format_subset(s)}) = {m[s]}",
+                        )
+                    )
+            elif m[si] % m[s]:
+                a1.append(
+                    Violation(
+                        "a1",
+                        (s, si),
+                        f"m({format_subset(s)}) = {m[s]} does not divide "
+                        f"m({format_subset(si)}) = {m[si]}",
+                    )
+                )
+    for x in range(total):
+        for y in range(x, total):
+            if rk[x | y] + rk[x & y] > rk[x] + rk[y]:
+                rank.append(
+                    Violation(
+                        "r3",
+                        (x, y),
+                        f"rk not submodular on {format_subset(x)}, {format_subset(y)}",
+                    )
+                )
+    return {"rank": tuple(rank), "a1": tuple(a1)}
+
+
+def tutte_per_subset(matroid) -> BiPoly:
+    """The arithmetic Tutte polynomial with the binomials expanded once per subset."""
+    r = matroid.full_rank
+    acc: dict[tuple[int, int], int] = {}
+    for s in range(1 << matroid.size):
+        p = r - matroid.rk[s]
+        q = s.bit_count() - matroid.rk[s]
+        for i in range(p + 1):
+            ci = comb(p, i) * (-1 if (p - i) & 1 else 1)
+            for j in range(q + 1):
+                cj = comb(q, j) * (-1 if (q - j) & 1 else 1)
+                acc[(i, j)] = acc.get((i, j), 0) + matroid.m[s] * ci * cj
+    return BiPoly.from_dict(acc)
+
+
+def is_square_free_by_trial(m: int) -> bool:
+    """The square-free test by trial division with d^2 up to sqrt(m)."""
+    return m >= 1 and all(m % (d * d) for d in range(2, isqrt(m) + 1))
+
+
+def square_free_sieve(limit: int) -> list[bool]:
+    """Square-freeness of every m < limit by the old test seen from the side
+    of d: m fails exactly when d^2 divides m for some 2 <= d <= sqrt(m)."""
+    flags = [False] + [True] * (limit - 1)
+    d = 2
+    while d * d < limit:
+        for multiple in range(d * d, limit, d * d):
+            flags[multiple] = False
+        d += 1
+    return flags

@@ -10,6 +10,7 @@ from math import gcd
 
 from ellmat import (
     char_poly,
+    check_axioms,
     cli,
     conj_transpose,
     euler_characteristic,
@@ -18,17 +19,11 @@ from ellmat import (
     from_arrangement,
     dual_arrangement,
     gcd_property,
-    p_equivalence_holds,
     poly_eval,
     smith_form,
     tutte,
-    verify_a1,
-    verify_a2,
-    verify_matroid,
-    verify_p,
-    verify_p1,
-    verify_p2,
 )
+from ellmat.matroid import AXIOM_NAMES
 from support import (
     FIXTURE_OMEGA_DOC,
     FIXTURE_SQRT3_DOC,
@@ -154,22 +149,15 @@ def test_criterion_06_axiom_suite(capsys):
     bad = 0
     corpus = arrangement_corpus(200)
     for arr in corpus:
-        matroid = from_arrangement(arr)
-        clean = not (
-            verify_matroid(matroid)
-            or verify_a1(matroid)
-            or verify_a2(matroid)
-            or verify_p(matroid)
-            or verify_p1(matroid)
-            or verify_p2(matroid)
-        )
-        if not clean or not p_equivalence_holds(matroid):
+        verdicts = check_axioms(from_arrangement(arr), AXIOM_NAMES, arr)
+        if any(verdicts.values()):
             bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and len(corpus) == 200 and elapsed < 120.0
     with capsys.disabled():
         _verdict(
-            f"criterion 6: all axioms and the (P) equivalence on 200 arrangements ({elapsed:.1f}s)",
+            f"criterion 6: all axioms, the (P) equivalence and both cross-checks "
+            f"on 200 arrangements ({elapsed:.1f}s)",
             ok,
         )
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -120,7 +121,7 @@ def test_verify_selected_axioms_json(sqrt3_file, capsys):
 def test_verify_exit_code_on_violation(sqrt3_file, capsys, monkeypatch):
     from ellmat.matroid import Violation
 
-    def fake_check_axioms(matroid, names):
+    def fake_check_axioms(matroid, names, arrangement=None):
         injected = (Violation("a1", (0,), "injected failure"),)
         return {name: injected if name == "a1" else () for name in names}
 
@@ -164,6 +165,14 @@ def test_order_info(capsys):
     assert "conductor: 2" in out
     assert "minimal polynomial: 4*x^2 + 1" in out
     assert "discriminant: -16" in out
+
+
+def test_order_info_large_prime_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "order-info", "--m", "100000000000031", "--tau=0,1,1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "m: 100000000000031" in out
 
 
 def test_order_info_rejects_bad_tau(capsys):
@@ -233,3 +242,12 @@ def test_deep_nesting_exit_code(tmp_path, capsys):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_huge_m_exit_code(tmp_path, capsys):
+    doc = dict(FIXTURE_SQRT3_DOC, field={"m": 10**29 + 1})
+    path = tmp_path / "huge_m.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "error:" in err

@@ -15,30 +15,31 @@ from ellmat import (
     format_subset,
     from_arrangement,
     gcd_property,
-    p_equivalence_holds,
     poly_eval,
     poly_str,
     tutte,
-    verify_a1,
-    verify_a2,
-    verify_matroid,
-    verify_p,
-    verify_p1,
-    verify_p2,
 )
 from support import (
     arrangement_corpus,
     curve_sqrt3,
+    curve_third_sqrt2,
     find_molecule,
     molecule_scan_verdicts,
     new_realization_omega,
     new_realization_sqrt3,
+    random_ring_matrix,
+    rank_and_a1_scan,
     rho,
+    tutte_per_subset,
 )
 
 
 def _example_matroid() -> ArithmeticMatroid:
     return from_arrangement(new_realization_sqrt3())
+
+
+def _verdict(matroid: ArithmeticMatroid, name: str):
+    return check_axioms(matroid, (name,))[name]
 
 
 def _free_matroid(k: int) -> ArithmeticMatroid:
@@ -79,21 +80,21 @@ def test_table_shape_validation():
 
 
 def test_verify_matroid_passes_on_examples():
-    assert verify_matroid(_example_matroid()) == ()
-    assert verify_matroid(_free_matroid(3)) == ()
+    assert _verdict(_example_matroid(), "rank") == ()
+    assert _verdict(_free_matroid(3), "rank") == ()
 
 
 def test_verify_matroid_flags_nonzero_empty_rank():
     broken = ArithmeticMatroid(1, (1, 1), (1, 1))
-    axioms = {v.axiom for v in verify_matroid(broken)}
+    axioms = {v.axiom for v in _verdict(broken, "rank")}
     assert "r1" in axioms
 
 
 def test_verify_a1_passes_and_fails():
-    assert verify_a1(_example_matroid()) == ()
-    assert verify_a1(_free_matroid(2)) == ()
+    assert _verdict(_example_matroid(), "a1") == ()
+    assert _verdict(_free_matroid(2), "a1") == ()
     tampered = ArithmeticMatroid(2, (0, 1, 1, 1), (1, 4, 4, 3))
-    violations = verify_a1(tampered)
+    violations = _verdict(tampered, "a1")
     assert violations
     assert all(v.axiom == "a1" for v in violations)
 
@@ -112,12 +113,12 @@ def test_find_molecule_forced_partition():
 
 
 def test_verify_a2_examples():
-    assert verify_a2(_example_matroid()) == ()
-    assert verify_a2(_free_matroid(3)) == ()
+    assert _verdict(_example_matroid(), "a2") == ()
+    assert _verdict(_free_matroid(3), "a2") == ()
     # rank (0,1,0,1) makes [empty, {1,2}] a molecule with one coloop and one
     # loop; multiplicities (1,2,1,1) break the product identity on it.
     tampered = ArithmeticMatroid(2, (0, 1, 0, 1), (1, 2, 1, 1))
-    violations = verify_a2(tampered)
+    violations = _verdict(tampered, "a2")
     assert violations
     assert violations[0].subsets == (0, 0b11)
 
@@ -163,22 +164,85 @@ def test_interval_pass_matches_exhaustive_scans():
     assert violations > 1000
 
 
+def test_local_pass_matches_exhaustive_scan():
+    # The local pass against the 4^k (r1)-(r3) scan and the (A1) loop it
+    # replaced, on the corpus and on seeded tamperings.  (r1), (r2) and
+    # (A1) must agree entry for entry.  (r3) is checked only on local pairs,
+    # so its witnesses differ, but each must break submodularity, and a
+    # table has one exactly when the exhaustive scan finds any: a set
+    # function is submodular iff it is locally submodular.
+    rng = random.Random(75)
+    r3_only = 0
+    for arr in arrangement_corpus(200):
+        matroid = from_arrangement(arr)
+        tables = [matroid]
+        for _ in range(2):
+            m = list(matroid.m)
+            for _ in range(rng.randint(1, 4)):
+                m[rng.randrange(len(m))] = rng.randint(1, 12)
+            tables.append(ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)))
+        for _ in range(3):
+            rk = list(matroid.rk)
+            s = rng.randrange(len(rk))
+            rk[s] = max(0, rk[s] + rng.choice((-1, 1)))
+            tables.append(ArithmeticMatroid(matroid.size, tuple(rk), matroid.m))
+        for table in tables:
+            verdicts = check_axioms(table, ("rank", "a1"))
+            reference = rank_and_a1_scan(table)
+            assert verdicts["a1"] == reference["a1"]
+            r3 = [v for v in verdicts["rank"] if v.axiom == "r3"]
+            assert [v for v in verdicts["rank"] if v.axiom != "r3"] == [
+                v for v in reference["rank"] if v.axiom != "r3"
+            ]
+            assert bool(verdicts["rank"]) == bool(reference["rank"])
+            assert bool(r3) == any(v.axiom == "r3" for v in reference["rank"])
+            rk = table.rk
+            for v in r3:
+                x, y = v.subsets
+                assert rk[x | y] + rk[x & y] > rk[x] + rk[y]
+            r3_only += bool(r3) and len(r3) == len(verdicts["rank"])
+    assert r3_only >= 5
+
+
+def test_tutte_buckets_match_per_subset_expansion():
+    rng = random.Random(76)
+    tables = [from_arrangement(arr) for arr in arrangement_corpus(200)]
+    # Big entries over the N = 9 order, shaped like the benchmark's k11n4 input.
+    for _ in range(2):
+        big = random_ring_matrix(rng, curve_third_sqrt2(), 8, 4, 10**6)
+        tables.append(from_arrangement(EllipticArrangement(big)))
+    assert max(tables[-1].m).bit_length() > 100
+    for matroid in tables[:40]:
+        rk = list(matroid.rk)
+        rk[rng.randrange(len(rk))] += rng.choice((-1, 1))
+        tables.append(ArithmeticMatroid(matroid.size, tuple(rk), matroid.m))
+    for matroid in tables:
+        assert tutte(matroid) == tutte_per_subset(matroid)
+
+
 def test_check_axioms_names():
     matroid = _example_matroid()
     verdicts = check_axioms(matroid, ("p", "rank", "p", "a1"))
     assert list(verdicts) == ["p", "rank", "a1"]
     assert all(v == () for v in verdicts.values())
     with pytest.raises(ParameterError):
-        check_axioms(matroid, ("dual",))
+        check_axioms(matroid, ("bogus",))
+    # The cross-checks read the arrangement the tables came from.
+    for name in ("dual", "coker-xcheck"):
+        with pytest.raises(ParameterError):
+            check_axioms(matroid, ("rank", name))
+    arr = new_realization_sqrt3()
+    verdicts = check_axioms(matroid, ("dual", "coker-xcheck"), arr)
+    assert verdicts == {"dual": (), "coker-xcheck": ()}
 
 
 def test_positivity_axioms_on_examples():
-    matroid = _example_matroid()
-    assert verify_p(matroid) == ()
-    assert verify_p1(matroid) == ()
-    assert verify_p2(matroid) == ()
-    assert p_equivalence_holds(matroid)
-    assert verify_p(_free_matroid(3)) == ()
+    verdicts = check_axioms(_example_matroid(), ("p", "p1", "p2", "p-equivalence"))
+    assert verdicts["p"] == ()
+    assert verdicts["p1"] == ()
+    assert verdicts["p2"] == ()
+    assert verdicts["p-equivalence"] == ()
+    assert _verdict(_free_matroid(3), "p") == ()
 
 
 def test_dual_tables():
@@ -252,9 +316,10 @@ def test_gcd_property_split_prime_counterexample():
     assert not holds
     assert witness == 0b111
     # The axioms themselves are untouched by the failure.
-    assert verify_a1(matroid) == ()
-    assert verify_a2(matroid) == ()
-    assert verify_p(matroid) == ()
+    verdicts = check_axioms(matroid, ("a1", "a2", "p"))
+    assert verdicts["a1"] == ()
+    assert verdicts["a2"] == ()
+    assert verdicts["p"] == ()
     # Taken in Z[i], the gcd of the pair determinants is the unit ideal, so
     # the ideal-index oracle gives the same hand values and m({1,2,3}) = 1.
     _, indices, _ = ideal_gcd_oracle(curve_gauss(), pairs)
@@ -350,7 +415,7 @@ def test_e2_specializes_to_euler_on_corpus():
 def test_rho_nonnegative_on_corpus_molecules():
     for arr in arrangement_corpus(15, seed=64):
         matroid = from_arrangement(arr)
-        assert verify_p(matroid) == ()
+        assert _verdict(matroid, "p") == ()
         mol = find_molecule(matroid, 0, 0)
         assert rho(matroid, mol) == matroid.m[0]
 

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -19,6 +19,8 @@ from support import (
     curve_sqrt3,
     curve_third_sqrt2,
     generator_index_oracle,
+    is_square_free_by_trial,
+    square_free_sieve,
 )
 
 
@@ -43,6 +45,45 @@ def test_make_field_rejects_bad_m():
             make_field(m)
     assert not is_square_free(8)
     assert is_square_free(30)
+    # 2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is the largest m taken.
+    assert make_field((1 << 64) - 1).m == (1 << 64) - 1
+    with pytest.raises(ParameterError):
+        make_field(1 << 64)
+
+
+def test_is_square_free_matches_trial_division():
+    flags = square_free_sieve(200000)
+    assert [m for m in range(200000) if is_square_free(m) != flags[m]] == []
+
+
+def test_is_square_free_near_the_cube_root():
+    # Trial division stops at the cube root, so primes just around it are
+    # the cases the cofactor test has to get right: p^2 q and p q r with
+    # p, q, r near the cube root, and p^2, p q with p, q above it.
+    def primes_from(start, count):
+        out, n = [], start
+        while len(out) < count:
+            if all(n % d for d in range(2, isqrt(n) + 1)):
+                out.append(n)
+            n += 1
+        return out
+
+    for start in (20, 100, 1000, 30000, 10**6):
+        p, q, r = primes_from(start, 3)
+        cases = {
+            p * p: False,
+            p * q: True,
+            p * p * q: False,
+            p * q * q: False,
+            p * q * r: True,
+            p**3: False,
+            2 * p * p: False,
+            2 * p * q: True,
+        }
+        for m, expected in cases.items():
+            assert is_square_free(m) is expected, m
+            if m < 10**10:
+                assert is_square_free_by_trial(m) is expected, m
 
 
 def test_make_curve_sqrt_minus_three():
