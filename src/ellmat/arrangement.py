@@ -10,10 +10,9 @@ of rows, the intersection of the corresponding divisors has
                     torsion of the cokernel of the selected expansion,
     layer dim     = n - rank(S).
 
-Subsets are bitmasks of width k, bit i standing for divisor i+1.  Reports
-are memoized per subset; arrangements are otherwise immutable, and since
-every recomputation of a report yields the same value, concurrent reads
-and redundant writes of the memo are benign.
+Subsets are bitmasks of width k, bit i standing for divisor i+1.
+`reports()` tabulates all 2^k subsets once and is the table every caller
+reads; `subset_report` recomputes a single subset.
 """
 
 from __future__ import annotations
@@ -46,13 +45,13 @@ class SubsetReport:
 
 
 class EllipticArrangement:
-    """k divisors in E^n, with cached lattice expansion and per-subset memo."""
+    """k divisors in E^n, with cached lattice expansion and subset table."""
 
     def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
         self.curve = matrix.curve
         self._expansion_rows = expand_lambda(matrix).to_rows()
-        self._reports: dict[int, SubsetReport] = {}
+        self._table: tuple[SubsetReport, ...] | None = None
 
     @property
     def k(self) -> int:
@@ -62,12 +61,8 @@ class EllipticArrangement:
     def n(self) -> int:
         return self.matrix.n
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.k) - 1
-
     def _check_subset(self, subset: int) -> None:
-        if not 0 <= subset <= self.full_mask:
+        if not 0 <= subset < 1 << self.k:
             raise ParameterError(
                 f"subset {subset:#x} out of range for {self.k} divisors"
             )
@@ -79,42 +74,25 @@ class EllipticArrangement:
         return IntMatrix.from_rows(rows, cols=2 * self.n)
 
     def subset_report(self, subset: int) -> SubsetReport:
+        """Rank, multiplicity and torsion of one subset, computed afresh."""
         self._check_subset(subset)
-        cached = self._reports.get(subset)
-        if cached is not None:
-            return cached
         snf = smith_form(self._selected_expansion(subset))
-        assert snf.rank % 2 == 0, "lattice expansions of order maps have even rank"
+        if snf.rank % 2:
+            raise AssertionError("lattice expansions of order maps have even rank")
         rank = snf.rank // 2
-        report = SubsetReport(
+        return SubsetReport(
             subset=subset,
             rank=rank,
             multiplicity=snf.torsion_order,
             layer_dim=self.n - rank,
             torsion_invariants=snf.torsion_invariants,
         )
-        self._reports[subset] = report
-        return report
 
-    def rank_of(self, subset: int) -> int:
-        return self.subset_report(subset).rank
-
-    def multiplicity(self, subset: int) -> int:
-        return self.subset_report(subset).multiplicity
-
-    def torsion_invariants(self, subset: int) -> tuple[int, ...]:
-        return self.subset_report(subset).torsion_invariants
-
-    def layer_dimension(self, subset: int) -> int:
-        return self.subset_report(subset).layer_dim
-
-    def is_essential(self) -> bool:
-        """True when the full intersection has rank n (zero-dimensional layers)."""
-        return self.rank_of(self.full_mask) == self.n
-
-    def reports(self) -> list[SubsetReport]:
-        """All subset reports in ascending bitmask order."""
-        return [self.subset_report(s) for s in range(1 << self.k)]
+    def reports(self) -> tuple[SubsetReport, ...]:
+        """All subset reports in ascending bitmask order, tabulated on first call."""
+        if self._table is None:
+            self._table = tuple(self.subset_report(s) for s in range(1 << self.k))
+        return self._table
 
     def __repr__(self) -> str:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"

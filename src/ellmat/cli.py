@@ -108,7 +108,7 @@ def _print_table(rows: list[tuple[str, ...]]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
-    essential = arr.is_essential()
+    essential = matroid.full_rank == arr.n
     t_poly = tutte(matroid)
     chi = char_poly(matroid)
     euler = euler_characteristic(matroid, arr.n, essential)
@@ -205,7 +205,7 @@ def cmd_tutte(args: argparse.Namespace) -> int:
 def cmd_euler(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
-    essential = arr.is_essential()
+    essential = matroid.full_rank == arr.n
     print(euler_characteristic(matroid, arr.n, essential))
     if not essential:
         print(

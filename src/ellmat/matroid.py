@@ -31,8 +31,8 @@ tables came from.
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
 out of a single pass over the 3^k nested pairs [X, Y], with O(2^k)
-memory.  That is why ground sets are capped (default 20) when built from
-arrangements.
+memory.  That is why arrangements of more than MAX_GROUND = 20 divisors
+are refused before any tabulation.
 
 Subsets are bitmasks, bit i standing for element i+1.
 """
@@ -49,7 +49,7 @@ from .arrangement import (
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
 )
-from .quadratic_order import ParameterError
+from .quadratic_order import ParameterError, format_terms
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -142,15 +142,16 @@ class ArithmeticMatroid:
         return ArithmeticMatroid(len(kept), tuple(rk), tuple(m))
 
 
-def from_arrangement(arr: EllipticArrangement, max_ground: int = 20) -> ArithmeticMatroid:
-    """Tabulate rank and multiplicity of an arrangement over all subsets.
+# The tables have 2^k entries and every verifier is exhaustive, so larger
+# ground sets are refused.
+MAX_GROUND = 20
 
-    The tables have 2^k entries and every verifier is exhaustive, so ground
-    sets larger than `max_ground` are refused.
-    """
-    if arr.k > max_ground:
+
+def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
+    """Rank and multiplicity tables read off the arrangement's subset reports."""
+    if arr.k > MAX_GROUND:
         raise ParameterError(
-            f"ground set of {arr.k} elements exceeds the cap of {max_ground}"
+            f"ground set of {arr.k} elements exceeds the cap of {MAX_GROUND}"
         )
     reports = arr.reports()
     return ArithmeticMatroid(
@@ -328,11 +329,11 @@ def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[V
     return (Violation("dual", (t_mask,), detail),)
 
 
-def _coker_check(arr: EllipticArrangement) -> tuple[Violation, ...]:
-    """Whether every multiplicity agrees across the three cokernel bases."""
+def _coker_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
+    """Whether every multiplicity of the tables agrees with the two other cokernel bases."""
     out = []
     for subset in range(1 << arr.k):
-        direct = arr.multiplicity(subset)
+        direct = matroid.m[subset]
         via_order = multiplicity_via_order_basis(arr, subset)
         via_conj = multiplicity_via_conj_transpose(arr, subset)
         if not direct == via_order == via_conj:
@@ -359,7 +360,8 @@ def check_axioms(
     - dual checks that the stacked arrangement realizes the dual tables,
       and coker-xcheck that every multiplicity agrees across the three
       cokernel bases.  Both read `arrangement`, the arrangement the tables
-      came from, and raise ParameterError without it.
+      came from, and raise ParameterError without it or when its ground
+      set differs from the tables'.
 
     Each pass runs at most once, and only when one of its names is asked.
     """
@@ -369,6 +371,8 @@ def check_axioms(
         raise ParameterError(f"unknown axioms {unknown}; choose from {', '.join(AXIOM_NAMES)}")
     if arrangement is None and _ARRANGEMENT_CHECKS.intersection(names):
         raise ParameterError("the dual and coker-xcheck checks need the arrangement")
+    if arrangement is not None and arrangement.k != matroid.size:
+        raise ParameterError("the arrangement and the tables differ in ground set size")
     found: dict[str, tuple[Violation, ...]] = {}
     if _LOCAL_AXIOMS.intersection(names):
         found.update(_local_pass(matroid))
@@ -377,7 +381,7 @@ def check_axioms(
     if "dual" in names:
         found["dual"] = _dual_check(arrangement, matroid)
     if "coker-xcheck" in names:
-        found["coker-xcheck"] = _coker_check(arrangement)
+        found["coker-xcheck"] = _coker_check(arrangement, matroid)
     return {name: found[name] for name in names}
 
 
@@ -419,23 +423,11 @@ class BiPoly:
         return sum(c * v1**i * v2**j for i, j, c in self.terms)
 
     def format(self, var1: str = "x", var2: str = "y") -> str:
-        if not self.terms:
-            return "0"
         ordered = sorted(self.terms, key=lambda t: (-(t[0] + t[1]), -t[0]))
-        pieces: list[str] = []
-        for i, j, c in ordered:
-            mono = "*".join(
-                v if d == 1 else f"{v}^{d}"
-                for v, d in ((var1, i), (var2, j))
-                if d
-            )
-            mag = abs(c)
-            body = mono if mono and mag == 1 else (f"{mag}*{mono}" if mono else str(mag))
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return format_terms(
+            (c, "*".join(v if d == 1 else f"{v}^{d}" for v, d in ((var1, i), (var2, j)) if d))
+            for i, j, c in ordered
+        )
 
 
 def tutte(matroid: ArithmeticMatroid) -> BiPoly:
@@ -478,19 +470,10 @@ def char_poly(matroid: ArithmeticMatroid) -> tuple[int, ...]:
 
 def poly_str(coeffs: tuple[int, ...], var: str = "t") -> str:
     """Render ascending coefficients as a descending-degree polynomial string."""
-    pieces: list[str] = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        mono = "" if d == 0 else (var if d == 1 else f"{var}^{d}")
-        mag = abs(c)
-        body = mono if mono and mag == 1 else (f"{mag}*{mono}" if mono else str(mag))
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+    return format_terms(
+        (coeffs[d], "" if d == 0 else (var if d == 1 else f"{var}^{d}"))
+        for d in range(len(coeffs) - 1, -1, -1)
+    )
 
 
 def poly_eval(coeffs: tuple[int, ...], value: int) -> int:

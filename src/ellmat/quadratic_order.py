@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Iterable
 
 
 class ParameterError(ValueError):
@@ -157,10 +158,32 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
     )
     # Content of the primitive minimal polynomial of tau is 1; everything
     # downstream (cokernel comparisons, projectivity of the lattice) leans
-    # on this, so fail loudly if it ever breaks.
-    assert gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) == 1
-    assert curve.N == c * c // g
+    # on this, so fail loudly if it ever breaks, also under python -O.
+    if gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) != 1:
+        raise AssertionError("minimal polynomial of tau is not primitive")
+    if curve.N != c * c // g:
+        raise AssertionError("N differs from c^2/g")
     return curve
+
+
+def format_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join (coeff, monomial) pairs as in "-x^2 + 3*x - 1", leading term first.
+
+    Zero coefficients are skipped, a coefficient of magnitude 1 on a
+    monomial is left out, an empty monomial is a constant, and "0" stands
+    for a sum without nonzero terms.
+    """
+    pieces: list[str] = []
+    for coeff, mono in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        body = mono if mono and mag == 1 else (f"{mag}*{mono}" if mono else str(mag))
+        if pieces:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            pieces.append(body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) if pieces else "0"
 
 
 @dataclass(frozen=True)
@@ -182,17 +205,7 @@ class IntQuadratic:
         return self.lin * self.lin - 4 * self.lead * self.const
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for coeff, mono in ((self.lead, "x^2"), (self.lin, "x"), (self.const, "")):
-            if coeff == 0:
-                continue
-            mag = abs(coeff)
-            body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        return format_terms(((self.lead, "x^2"), (self.lin, "x"), (self.const, "")))
 
 
 def min_poly(curve: CurveParams) -> IntQuadratic:

@@ -167,7 +167,7 @@ def test_criterion_07_dual_matroid_as_contraction(capsys):
     for arr in arrangement_corpus(200):
         matroid = from_arrangement(arr)
         stacked, t_mask = dual_arrangement(arr)
-        stacked_matroid = from_arrangement(stacked, max_ground=arr.k + arr.n)
+        stacked_matroid = from_arrangement(stacked)
         if stacked_matroid.contraction(t_mask) != matroid.dual():
             bad += 1
     ok = bad == 0
@@ -229,7 +229,7 @@ def test_criterion_08_gcd_property_over_maximal_orders(capsys):
 def test_criterion_09_euler_characteristic(capsys):
     arr = new_realization_sqrt3()
     matroid = from_arrangement(arr)
-    euler = euler_characteristic(matroid, arr.n, arr.is_essential())
+    euler = euler_characteristic(matroid, arr.n, matroid.full_rank == arr.n)
     via_tutte = -tutte(matroid).evaluate(1, 0)
     via_char = poly_eval(char_poly(matroid), 0)
     via_points = -(4 + 4 - 2)
@@ -239,8 +239,9 @@ def test_criterion_09_euler_characteristic(capsys):
     corpus_bad = 0
     for pts in corpus:
         m_pts = from_arrangement(pts)
-        computed = euler_characteristic(m_pts, 1, pts.is_essential())
-        if not pts.is_essential() or computed != 0 - union_point_count(m_pts):
+        essential = m_pts.full_rank == pts.n
+        computed = euler_characteristic(m_pts, 1, essential)
+        if not essential or computed != 0 - union_point_count(m_pts):
             corpus_bad += 1
     ok = fixture_ok and corpus_bad == 0 and len(corpus) == 50
     with capsys.disabled():

@@ -1,12 +1,22 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import ellmat.arrangement
+import ellmat.linalg
 from ellmat import (
+    ArithmeticMatroid,
     EllipticArrangement,
     ParameterError,
     RingMatrix,
+    SmithForm,
+    check_axioms,
     dual_arrangement,
+    from_arrangement,
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
+    random_arrangement,
     scalar,
 )
 from ellmat.quadratic_order import RingElement
@@ -21,28 +31,28 @@ from support import (
 
 def test_multiplicities_over_sqrt3():
     arr = new_realization_sqrt3()
-    assert [arr.multiplicity(s) for s in range(4)] == [1, 4, 4, 2]
+    assert [arr.subset_report(s).multiplicity for s in range(4)] == [1, 4, 4, 2]
 
 
 def test_multiplicities_over_maximal_order():
     arr = new_realization_omega()
-    assert [arr.multiplicity(s) for s in range(4)] == [1, 4, 4, 4]
+    assert [arr.subset_report(s).multiplicity for s in range(4)] == [1, 4, 4, 4]
 
 
 def test_ranks_and_layer_dimensions():
     arr = new_realization_sqrt3()
-    assert arr.rank_of(0) == 0
-    assert arr.rank_of(0b11) == 1
-    assert arr.layer_dimension(0) == 1
-    assert arr.layer_dimension(0b11) == 0
+    assert arr.subset_report(0).rank == 0
+    assert arr.subset_report(0b11).rank == 1
+    assert arr.subset_report(0).layer_dim == 1
+    assert arr.subset_report(0b11).layer_dim == 0
 
 
 def test_torsion_invariant_chains():
     arr = new_realization_sqrt3()
-    assert arr.torsion_invariants(0b11) == (2,)
-    assert arr.torsion_invariants(0b01) == (2, 2)
-    assert arr.torsion_invariants(0b10) == (4,)
-    assert arr.torsion_invariants(0) == ()
+    assert arr.subset_report(0b11).torsion_invariants == (2,)
+    assert arr.subset_report(0b01).torsion_invariants == (2, 2)
+    assert arr.subset_report(0b10).torsion_invariants == (4,)
+    assert arr.subset_report(0).torsion_invariants == ()
 
 
 def test_report_consistency():
@@ -60,36 +70,41 @@ def test_zero_rows_behave_as_loops():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve, [[(0, 0), (0, 0)], [(1, 0), (2, 1)]])
     )
-    assert arr.rank_of(0b01) == 0
-    assert arr.multiplicity(0b01) == 1
-    assert arr.layer_dimension(0b01) == 2
+    rep = arr.subset_report(0b01)
+    assert rep.rank == 0
+    assert rep.multiplicity == 1
+    assert rep.layer_dim == 2
 
 
 def test_subset_out_of_range():
     arr = new_realization_sqrt3()
     with pytest.raises(ParameterError):
-        arr.rank_of(4)
+        arr.subset_report(4)
     with pytest.raises(ParameterError):
-        arr.multiplicity(-1)
+        arr.subset_report(-1)
+
+
+def _is_essential(arr: EllipticArrangement) -> bool:
+    return from_arrangement(arr).full_rank == arr.n
 
 
 def test_is_essential():
-    assert new_realization_sqrt3().is_essential()
+    assert _is_essential(new_realization_sqrt3())
     empty_in_plane = EllipticArrangement(
         RingMatrix(curve_sqrt3(), 0, 2, ())
     )
-    assert not empty_in_plane.is_essential()
+    assert not _is_essential(empty_in_plane)
     single_in_plane = EllipticArrangement(
         RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (1, 1)]])
     )
-    assert not single_in_plane.is_essential()
+    assert not _is_essential(single_in_plane)
 
 
 def test_layer_dimension_single_row_in_e3():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (0, 0), (0, 1)]])
     )
-    assert arr.layer_dimension(0b1) == 2
+    assert arr.subset_report(0b1).layer_dim == 2
 
 
 def test_dual_arrangement_structure():
@@ -115,21 +130,22 @@ def test_dual_arrangement_of_empty_columns():
 
 def test_multiplicity_divisibility_chains():
     for arr in arrangement_corpus(40, seed=51):
+        reports = arr.reports()
         for s in range(1 << arr.k):
             for i in range(arr.k):
                 if s >> i & 1:
                     continue
-                grown = s | 1 << i
-                if arr.rank_of(grown) == arr.rank_of(s):
-                    assert arr.multiplicity(s) % arr.multiplicity(grown) == 0
+                small, grown = reports[s], reports[s | 1 << i]
+                if grown.rank == small.rank:
+                    assert small.multiplicity % grown.multiplicity == 0
                 else:
-                    assert arr.multiplicity(grown) % arr.multiplicity(s) == 0
+                    assert grown.multiplicity % small.multiplicity == 0
 
 
 def test_multiplicity_triangulates_across_three_paths():
     for arr in arrangement_corpus(30, seed=52):
-        for s in range(1 << arr.k):
-            direct = arr.multiplicity(s)
+        for rep in arr.reports():
+            s, direct = rep.subset, rep.multiplicity
             assert direct == multiplicity_via_order_basis(arr, s)
             assert direct == multiplicity_via_conj_transpose(arr, s)
 
@@ -141,11 +157,72 @@ def test_single_divisor_multiplicity_is_the_norm():
     for arr in points_corpus(20, seed=53):
         for i in range(arr.k):
             entry = arr.matrix.entry(i, 0)
-            assert arr.multiplicity(1 << i) == entry.norm()
+            assert arr.subset_report(1 << i).multiplicity == entry.norm()
             block = expand_lambda(row_select(arr.matrix, [i]))
             assert minor_rank_and_torsion(block) == (2, entry.norm())
 
 
-def test_reports_are_memoized():
-    arr = new_realization_sqrt3()
-    assert arr.subset_report(3) is arr.subset_report(3)
+def _count_smith_forms(monkeypatch) -> list[int]:
+    calls = [0]
+    original = ellmat.linalg.smith_form
+
+    def counted(matrix):
+        calls[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(ellmat.arrangement, "smith_form", counted)
+    monkeypatch.setattr(ellmat.linalg, "smith_form", counted)
+    return calls
+
+
+def test_reports_are_memoized(monkeypatch):
+    calls = _count_smith_forms(monkeypatch)
+    arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
+    matroid = from_arrangement(arr)
+    table = arr.reports()
+    assert table is arr.reports()
+    assert [rep.subset for rep in table] == list(range(1 << arr.k))
+    assert matroid.m == tuple(rep.multiplicity for rep in table)
+    assert calls[0] == 1 << arr.k
+    assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
+    assert calls[0] == 3 << arr.k
+    fresh = arr.subset_report(3)
+    assert fresh == table[3] and fresh is not table[3]
+
+
+def test_coker_xcheck_flags_tampered_multiplicity():
+    arr = random_arrangement(k=4, n=2, m=1, a=0, b=1, c=1, bound=3, seed=5)
+    matroid = from_arrangement(arr)
+    m = list(matroid.m)
+    m[0b0110] *= 3
+    tampered = ArithmeticMatroid(matroid.size, matroid.rk, tuple(m))
+    found = check_axioms(tampered, ("coker-xcheck",), arr)["coker-xcheck"]
+    true_m = matroid.m[0b0110]
+    assert [(v.subsets, v.detail) for v in found] == [
+        (
+            (0b0110,),
+            f"multiplicity of {{2,3}} disagrees across bases: {3 * true_m} / {true_m} / {true_m}",
+        )
+    ]
+    with pytest.raises(ParameterError):
+        check_axioms(matroid.deletion(1), ("coker-xcheck",), arr)
+
+
+def test_subset_report_raises_on_odd_rank(monkeypatch):
+    monkeypatch.setattr(
+        ellmat.arrangement, "smith_form", lambda matrix: SmithForm(rank=1, invariant_factors=(1,))
+    )
+    with pytest.raises(AssertionError, match="even rank"):
+        new_realization_sqrt3().subset_report(1)
+
+
+def test_no_assert_statements_in_the_library():
+    # Invariants must hold under python -O, which strips assert statements.
+    src = Path(ellmat.arrangement.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -244,6 +244,20 @@ def test_deep_nesting_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ground_set_cap_exit_code(tmp_path, capsys):
+    # 2^21 Smith forms would take minutes; the cap must refuse the file first.
+    path = tmp_path / "wide.json"
+    random_args = "--k 21 --n 2 --m 1 --tau 0,1,1 --bound 2 --seed 1".split()
+    assert run_cli(capsys, "random", *random_args, "--out", str(path))[0] == 0
+    for command in ("tutte", "analyze", "verify"):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, command, str(path))
+        assert time.monotonic() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "cap of 20" in err
+
+
 def test_huge_m_exit_code(tmp_path, capsys):
     doc = dict(FIXTURE_SQRT3_DOC, field={"m": 10**29 + 1})
     path = tmp_path / "huge_m.json"

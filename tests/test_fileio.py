@@ -22,7 +22,7 @@ def test_parse_fixture(tmp_path):
     arr = load_arrangement(str(path))
     assert (arr.k, arr.n) == (2, 1)
     assert arr.curve.N == 1
-    assert arr.multiplicity(0b11) == 2
+    assert arr.subset_report(0b11).multiplicity == 2
 
 
 def test_parse_empty_matrix():
@@ -33,7 +33,7 @@ def test_parse_empty_matrix():
     }
     arr = parse_document(doc)
     assert (arr.k, arr.n) == (0, 2)
-    assert arr.multiplicity(0) == 1
+    assert arr.subset_report(0).multiplicity == 1
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -86,7 +86,7 @@ def test_random_arrangement_is_deterministic():
 
 def test_random_arrangement_bound_zero_is_trivial():
     arr = random_arrangement(k=3, n=2, m=3, a=0, b=1, c=1, bound=0, seed=1)
-    assert all(arr.multiplicity(s) == 1 for s in range(1 << arr.k))
+    assert all(rep.multiplicity == 1 for rep in arr.reports())
 
 
 def test_random_arrangement_rejects_bad_parameters():
@@ -101,4 +101,4 @@ def test_random_arrangement_rejects_bad_parameters():
 def test_omega_fixture_parses_to_maximal_order():
     arr = parse_document(FIXTURE_OMEGA_DOC)
     assert arr.curve.conductor == 1
-    assert arr.multiplicity(0b11) == 4
+    assert arr.subset_report(0b11).multiplicity == 4

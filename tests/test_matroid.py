@@ -4,6 +4,7 @@ import pytest
 
 from ellmat import (
     ArithmeticMatroid,
+    BiPoly,
     EllipticArrangement,
     ParameterError,
     RingMatrix,
@@ -17,8 +18,10 @@ from ellmat import (
     gcd_property,
     poly_eval,
     poly_str,
+    random_arrangement,
     tutte,
 )
+from ellmat.matroid import MAX_GROUND
 from support import (
     arrangement_corpus,
     curve_sqrt3,
@@ -67,9 +70,9 @@ def test_from_arrangement_empty_ground_set():
 
 
 def test_from_arrangement_cap():
-    arr = new_realization_sqrt3()
+    arr = random_arrangement(k=MAX_GROUND + 1, n=2, m=1, a=0, b=1, c=1, bound=2, seed=1)
     with pytest.raises(ParameterError):
-        from_arrangement(arr, max_ground=1)
+        from_arrangement(arr)
 
 
 def test_table_shape_validation():
@@ -336,6 +339,14 @@ def test_tutte_polynomial():
     assert t_poly.format("x", "y") == "x + 2*y + 5"
     assert t_poly.evaluate(1, 1) == 8
     assert tutte(_free_matroid(1)).format("x", "y") == "x"
+    assert BiPoly.from_dict({}).format() == "0"
+    assert BiPoly.from_dict({(0, 0): 0}).format() == "0"
+    assert BiPoly.from_dict({(0, 0): -4}).format() == "-4"
+    assert BiPoly.from_dict({(0, 0): 4}).format("s", "t") == "4"
+    assert BiPoly.from_dict({(1, 1): -1, (0, 1): 1, (0, 0): -2}).format() == "-x*y + y - 2"
+    mixed = BiPoly.from_dict({(1, 1): -1, (0, 1): 1, (2, 0): 3, (0, 0): -2})
+    assert mixed.format() == "3*x^2 - x*y + y - 2"
+    assert BiPoly.from_dict({(0, 2): -1, (1, 0): -1}).format("s", "t") == "-t^2 - s"
 
 
 def test_tutte_at_one_one_counts_weighted_bases():
@@ -355,6 +366,13 @@ def test_char_poly():
     chi = char_poly(_example_matroid())
     assert chi == (-6, 1)
     assert poly_str(chi, "t") == "t - 6"
+    assert poly_str(()) == "0"
+    assert poly_str((0, 0, 0)) == "0"
+    assert poly_str((5,)) == "5"
+    assert poly_str((-5, 0)) == "-5"
+    assert poly_str((0, -1, 1)) == "t^2 - t"
+    assert poly_str((2, 0, -1), "q") == "-q^2 + 2"
+    assert poly_str((1, 3, 0, -1)) == "-t^3 + 3*t + 1"
     assert char_poly(_free_matroid(1)) == (-1, 1)
 
 
@@ -405,7 +423,7 @@ def test_e2_poincare():
 def test_e2_specializes_to_euler_on_corpus():
     for arr in arrangement_corpus(20, seed=63):
         matroid = from_arrangement(arr)
-        essential = arr.is_essential()
+        essential = matroid.full_rank == arr.n
         if not essential:
             continue
         poly = e2_poincare(matroid, ambient_n=arr.n)

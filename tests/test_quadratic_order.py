@@ -4,6 +4,7 @@ from math import gcd, isqrt
 import pytest
 
 from ellmat import (
+    IntQuadratic,
     ParameterError,
     RingElement,
     generator,
@@ -133,6 +134,10 @@ def test_min_poly_values():
     assert (min_poly(curve_omega3()).lead, min_poly(curve_omega3()).lin, min_poly(curve_omega3()).const) == (1, -1, 1)
     assert (min_poly(curve_half_i()).lead, min_poly(curve_half_i()).lin, min_poly(curve_half_i()).const) == (4, 0, 1)
     assert str(min_poly(curve_sqrt3())) == "x^2 + 3"
+    assert str(min_poly(curve_omega3())) == "x^2 - x + 1"
+    assert str(IntQuadratic(-1, 0, -1)) == "-x^2 - 1"
+    assert str(IntQuadratic(2, 1, 3)) == "2*x^2 + x + 3"
+    assert str(IntQuadratic(-3, -1, -5)) == "-3*x^2 - x - 5"
 
 
 def test_min_poly_has_tau_as_root_numerically():
