@@ -1,4 +1,4 @@
-"""Elliptic arrangements: a matrix over an order, queried subset by subset.
+"""Elliptic arrangements: a matrix over an order, tabulated by one echelon walk.
 
 A k x n matrix A over R = End of the curve E defines k divisors in E^n,
 the i-th being the kernel of the morphism given by row i.  For a subset S
@@ -8,16 +8,42 @@ of rows, the intersection of the corresponding divisors has
                     lattice expansion) / 2,
     multiplicity  = number of connected components (layers) = order of the
                     torsion of the cokernel of the selected expansion,
-    layer dim     = n - rank(S).
+
+and its layers have dimension n - rank(S).
 
 Subsets are bitmasks of width k, bit i standing for divisor i+1.
-`reports()` tabulates all 2^k subsets once and is the table every caller
-reads; `subset_report` recomputes a single subset.
+
+Tabulation is one depth-first echelon walk.  Each node of the walk is a
+subset S; a child adds one divisor j beyond the last one added, so every
+subset is visited once.  The walk carries an echelon basis of the row
+lattice L(S) in Z^2n spanned by the selected expansion rows, and a step
+inserts the two expansion rows of divisor j by unimodular extended-gcd
+row operations.  The torsion order of the
+cokernel depends on that lattice alone, so:
+
+- a full-rank basis (2n rows) has m(S) = |product of its pivots|, the
+  index of L(S) in Z^2n, with no Smith form;
+- a rank-deficient basis (fewer rows) gets a Smith form of at most 2n
+  rows, as do the torsion chains, which only `torsion_chains` computes.
+
+Below a full-rank node of determinant D, inserted rows and the entries
+right of each updated pivot are reduced mod D, pivots never (Domich,
+Kannan & Trotter, Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2).  This is
+sound because every later pivot divides the one it replaces, so their
+product divides D and D Z^2n stays inside the new lattice.
+
+`reports()` is the walk over all 2^k subsets, computed once.
+`superset_reports(fixed)` walks the subsets containing `fixed`, whose
+rows are inserted first as a shared prefix.  `subset_report` recomputes a
+single subset by its own Smith form; it is the slow path the walk is
+tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Iterator
 
 from .linalg import (
     IntMatrix,
@@ -35,13 +61,56 @@ from .quadratic_order import ParameterError
 
 @dataclass(frozen=True)
 class SubsetReport:
-    """Rank, multiplicity and torsion data of one intersection."""
+    """Rank and multiplicity of one intersection."""
 
     subset: int
     rank: int
     multiplicity: int
-    layer_dim: int
-    torsion_invariants: tuple[int, ...]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a != 0."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+
+
+def _insert(basis: list, v: list[int], det: int) -> None:
+    """Add the row v to the echelon basis, in place.
+
+    basis[c] is the row whose first nonzero entry, its pivot, is in column
+    c, or None.  Rows are replaced, never mutated, so a copied basis list
+    shares them safely.  det > 0 is the determinant of a full-rank
+    ancestor: entries are then reduced mod det, pivots excepted.
+    """
+    if det:
+        v = [e % det for e in v]
+    for c in range(len(v)):
+        x = v[c]
+        if not x:
+            continue
+        b = basis[c]
+        if b is None:
+            basis[c] = v
+            return
+        a = b[c]
+        if x % a == 0:
+            q = x // a
+            v = [vi - q * bi for bi, vi in zip(b, v)]
+        else:
+            g, s, t = _xgcd(a, x)
+            p, q = a // g, x // g
+            row = [s * bi + t * vi for bi, vi in zip(b, v)]
+            v = [p * vi - q * bi for bi, vi in zip(b, v)]
+            if det:
+                row[c + 1 :] = [e % det for e in row[c + 1 :]]
+            basis[c] = row
+        if det:
+            v = [e % det for e in v]
 
 
 class EllipticArrangement:
@@ -74,25 +143,77 @@ class EllipticArrangement:
         return IntMatrix.from_rows(rows, cols=2 * self.n)
 
     def subset_report(self, subset: int) -> SubsetReport:
-        """Rank, multiplicity and torsion of one subset, computed afresh."""
+        """Rank and multiplicity of one subset, by its own Smith form."""
         self._check_subset(subset)
         snf = smith_form(self._selected_expansion(subset))
         if snf.rank % 2:
             raise AssertionError("lattice expansions of order maps have even rank")
-        rank = snf.rank // 2
-        return SubsetReport(
-            subset=subset,
-            rank=rank,
-            multiplicity=snf.torsion_order,
-            layer_dim=self.n - rank,
-            torsion_invariants=snf.torsion_invariants,
-        )
+        return SubsetReport(subset, snf.rank // 2, snf.torsion_order)
+
+    def _walk(self, fixed: int = 0) -> Iterator[tuple[int, int, list[list[int]], int]]:
+        """The echelon walk over the subsets containing `fixed`.
+
+        Yields (subset, narrow, rows, det) once per subset: `narrow` is the
+        bitmask of the subset's divisors outside `fixed`, renumbered in
+        ascending order; `rows` is an echelon basis of the selected row
+        lattice; `det` is its index in Z^2n when it has full rank, else 0.
+        """
+        cols = 2 * self.n
+        free = [j for j in range(self.k) if not fixed >> j & 1]
+
+        def grow(basis: list, j: int, det: int) -> list:
+            basis = basis.copy()
+            _insert(basis, self._expansion_rows[j], det)
+            _insert(basis, self._expansion_rows[self.k + j], det)
+            return basis
+
+        def rec(subset: int, narrow: int, start: int, basis: list) -> Iterator:
+            rows = [b for b in basis if b is not None]
+            if len(rows) % 2:
+                raise AssertionError("lattice expansions of order maps have even rank")
+            det = abs(prod(b[c] for c, b in enumerate(basis))) if len(rows) == cols else 0
+            yield subset, narrow, rows, det
+            for i in range(start, len(free)):
+                j = free[i]
+                yield from rec(subset | 1 << j, narrow | 1 << i, i + 1, grow(basis, j, det))
+
+        root: list = [None] * cols
+        for j in range(self.k):
+            if fixed >> j & 1:
+                root = grow(root, j, 0)
+        return rec(fixed, 0, 0, root)
+
+    def superset_reports(self, fixed: int) -> tuple[SubsetReport, ...]:
+        """Reports of the subsets containing `fixed`, computed afresh.
+
+        They come in the bitmask order of the divisors outside `fixed`, the
+        order of the contraction by `fixed`.
+        """
+        self._check_subset(fixed)
+        cols = 2 * self.n
+        out: list = [None] * (1 << (self.k - fixed.bit_count()))
+        for subset, narrow, rows, det in self._walk(fixed):
+            if rows and not det:
+                det = smith_form(IntMatrix.from_rows(rows, cols=cols)).torsion_order
+            # An empty basis, rank 0, has trivial torsion.
+            out[narrow] = SubsetReport(subset, len(rows) // 2, det or 1)
+        return tuple(out)
 
     def reports(self) -> tuple[SubsetReport, ...]:
         """All subset reports in ascending bitmask order, tabulated on first call."""
         if self._table is None:
-            self._table = tuple(self.subset_report(s) for s in range(1 << self.k))
+            self._table = self.superset_reports(0)
         return self._table
+
+    def torsion_chains(self) -> tuple[tuple[int, ...], ...]:
+        """The invariant factors above 1 of each subset's cokernel torsion,
+        in ascending bitmask order, computed afresh by the same walk."""
+        chains: list = [()] * (1 << self.k)
+        for subset, _, rows, _ in self._walk():
+            chains[subset] = smith_form(
+                IntMatrix.from_rows(rows, cols=2 * self.n)
+            ).torsion_invariants
+        return tuple(chains)
 
     def __repr__(self) -> str:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"

@@ -81,16 +81,18 @@ def _torsion_str(invariants: tuple[int, ...]) -> str:
     return " | ".join(str(d) for d in invariants) if invariants else "-"
 
 
-def _subset_table(arr: EllipticArrangement) -> list[tuple[str, str, str, str, str]]:
+def _subset_table(
+    arr: EllipticArrangement, chains: tuple[tuple[int, ...], ...]
+) -> list[tuple[str, str, str, str, str]]:
     rows = [("subset", "rank", "layers", "dim", "torsion")]
-    for rep in arr.reports():
+    for rep, chain in zip(arr.reports(), chains):
         rows.append(
             (
                 format_subset(rep.subset),
                 str(rep.rank),
                 str(rep.multiplicity),
-                str(rep.layer_dim),
-                _torsion_str(rep.torsion_invariants),
+                str(arr.n - rep.rank),
+                _torsion_str(chain),
             )
         )
     return rows
@@ -114,6 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     euler = euler_characteristic(matroid, arr.n, essential)
     holds, witness = gcd_property(matroid)
     verdicts = check_axioms(matroid, AXIOMS)
+    chains = arr.torsion_chains()
 
     if args.json:
         doc = {
@@ -125,10 +128,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     "indices": [i + 1 for i in range(arr.k) if rep.subset >> i & 1],
                     "rank": rep.rank,
                     "multiplicity": rep.multiplicity,
-                    "layer_dim": rep.layer_dim,
-                    "torsion": list(rep.torsion_invariants),
+                    "layer_dim": arr.n - rep.rank,
+                    "torsion": list(chain),
                 }
-                for rep in arr.reports()
+                for rep, chain in zip(arr.reports(), chains)
             ],
             "axioms": {
                 name: {"ok": not v, "violations": [vi.detail for vi in v]}
@@ -150,7 +153,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"arrangement: {arr.k} divisors in E^{arr.n}")
     print(f"essential: {'yes' if essential else 'no'}")
     print()
-    _print_table(_subset_table(arr))
+    _print_table(_subset_table(arr, chains))
     print()
     print(f"tutte polynomial: {t_poly.format('x', 'y')}")
     print(f"characteristic polynomial: {poly_str(chi, 't')}")

@@ -311,12 +311,12 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
 def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Whether the stacked arrangement contracted by T gives the dual tables.
 
-    The contraction reads only the 2^k supersets of T.  T is the top n bits
-    of the stacked ground set, so s | T for s < 2^k lists them in the
-    contraction's own order.
+    The contraction reads only the 2^k supersets of T, which one echelon
+    walk of the stacked arrangement tabulates with the rows of T inserted
+    first, in the contraction's own order.
     """
     stacked, t_mask = dual_arrangement(arr)
-    reports = [stacked.subset_report(s | t_mask) for s in range(1 << arr.k)]
+    reports = stacked.superset_reports(t_mask)
     base = reports[0].rank
     contraction = ArithmeticMatroid(
         arr.k,

@@ -13,16 +13,26 @@ from ellmat import (
     SmithForm,
     check_axioms,
     dual_arrangement,
+    expand_lambda,
     from_arrangement,
+    make_curve,
+    make_field,
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
     random_arrangement,
+    row_select,
     scalar,
+    smith_form,
 )
 from ellmat.quadratic_order import RingElement
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import (
     arrangement_corpus,
+    curve_gauss,
+    curve_omega3,
     curve_sqrt3,
+    curve_third_sqrt2,
     new_realization_omega,
     new_realization_sqrt3,
     points_corpus,
@@ -43,24 +53,23 @@ def test_ranks_and_layer_dimensions():
     arr = new_realization_sqrt3()
     assert arr.subset_report(0).rank == 0
     assert arr.subset_report(0b11).rank == 1
-    assert arr.subset_report(0).layer_dim == 1
-    assert arr.subset_report(0b11).layer_dim == 0
+    assert arr.n - arr.subset_report(0).rank == 1
+    assert arr.n - arr.subset_report(0b11).rank == 0
 
 
 def test_torsion_invariant_chains():
-    arr = new_realization_sqrt3()
-    assert arr.subset_report(0b11).torsion_invariants == (2,)
-    assert arr.subset_report(0b01).torsion_invariants == (2, 2)
-    assert arr.subset_report(0b10).torsion_invariants == (4,)
-    assert arr.subset_report(0).torsion_invariants == ()
+    chains = new_realization_sqrt3().torsion_chains()
+    assert chains[0b11] == (2,)
+    assert chains[0b01] == (2, 2)
+    assert chains[0b10] == (4,)
+    assert chains[0] == ()
 
 
 def test_report_consistency():
     arr = new_realization_sqrt3()
-    for rep in arr.reports():
-        assert rep.layer_dim == arr.n - rep.rank
+    for rep, chain in zip(arr.reports(), arr.torsion_chains(), strict=True):
         product = 1
-        for d in rep.torsion_invariants:
+        for d in chain:
             product *= d
         assert product == rep.multiplicity
 
@@ -73,7 +82,7 @@ def test_zero_rows_behave_as_loops():
     rep = arr.subset_report(0b01)
     assert rep.rank == 0
     assert rep.multiplicity == 1
-    assert rep.layer_dim == 2
+    assert arr.n - rep.rank == 2
 
 
 def test_subset_out_of_range():
@@ -104,7 +113,7 @@ def test_layer_dimension_single_row_in_e3():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (0, 0), (0, 1)]])
     )
-    assert arr.subset_report(0b1).layer_dim == 2
+    assert arr.n - arr.subset_report(0b1).rank == 2
 
 
 def test_dual_arrangement_structure():
@@ -179,15 +188,124 @@ def test_reports_are_memoized(monkeypatch):
     calls = _count_smith_forms(monkeypatch)
     arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
     matroid = from_arrangement(arr)
+    after_tabulation = calls[0]
     table = arr.reports()
     assert table is arr.reports()
+    assert calls[0] == after_tabulation
     assert [rep.subset for rep in table] == list(range(1 << arr.k))
     assert matroid.m == tuple(rep.multiplicity for rep in table)
-    assert calls[0] == 1 << arr.k
+    # The walk runs a Smith form on each non-empty rank-deficient subset
+    # and on nothing else.
+    deficient = sum(1 for rep in table if rep.subset and rep.rank < arr.n)
+    assert 0 < after_tabulation == deficient < 1 << arr.k
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
-    assert calls[0] == 3 << arr.k
+    assert calls[0] == deficient + (2 << arr.k)
     fresh = arr.subset_report(3)
     assert fresh == table[3] and fresh is not table[3]
+
+
+def _walk_cases() -> list[EllipticArrangement]:
+    """The corpus, three big-entry N=9 arrangements and the edge cases."""
+    gauss = curve_gauss()
+    cases = list(arrangement_corpus(200))
+    cases += [
+        random_arrangement(k=8, n=4, m=2, a=0, b=1, c=3, bound=10**6, seed=seed)
+        for seed in (1, 2, 3)
+    ]
+    cases += [
+        EllipticArrangement(RingMatrix(gauss, 0, 2, ())),
+        EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ()))),
+        EllipticArrangement(
+            RingMatrix.from_pairs(
+                gauss, [[(0, 0), (0, 0)], [(1, 2), (3, -1)], [(0, 0), (0, 0)], [(2, 0), (0, 5)]]
+            )
+        ),
+        EllipticArrangement(
+            RingMatrix.from_pairs(
+                gauss, [[(1, 2), (3, -1)], [(1, 2), (3, -1)], [(2, 1), (0, 3)], [(2, 1), (0, 3)]]
+            )
+        ),
+        # Every row vanishes on the third coordinate, so the full set has rank 2 of 3.
+        EllipticArrangement(
+            RingMatrix.from_pairs(
+                gauss,
+                [
+                    [(2, 0), (0, 2), (0, 0)],
+                    [(1, 1), (3, 0), (0, 0)],
+                    [(0, 3), (1, -1), (0, 0)],
+                    [(4, 0), (0, 4), (0, 0)],
+                ],
+            )
+        ),
+    ]
+    return cases
+
+
+def test_walk_matches_subset_report():
+    cases = _walk_cases()
+    for arr in cases:
+        assert arr.reports() == tuple(arr.subset_report(s) for s in range(1 << arr.k))
+    assert cases[-1].reports()[-1].rank == 2
+
+
+def test_dual_walk_matches_per_subset_reports(monkeypatch):
+    for arr in _walk_cases():
+        stacked, t_mask = dual_arrangement(arr)
+        walked = stacked.superset_reports(t_mask)
+        assert walked == tuple(stacked.subset_report(s | t_mask) for s in range(1 << arr.k))
+    calls = _count_smith_forms(monkeypatch)
+    arr = random_arrangement(k=6, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=4)
+    matroid = from_arrangement(arr)
+    stacked, t_mask = dual_arrangement(arr)
+    deficient = sum(1 for rep in stacked.superset_reports(t_mask) if 0 < rep.rank < arr.k)
+    before = calls[0]
+    assert check_axioms(matroid, ("dual",), arr) == {"dual": ()}
+    # Only the rank-deficient supersets of T take a Smith form.
+    assert 0 < calls[0] - before == deficient < 1 << arr.k
+
+
+def test_torsion_chains_match_smith_form():
+    for arr in _walk_cases():
+        chains = arr.torsion_chains()
+        for s in range(1 << arr.k):
+            block = expand_lambda(row_select(arr.matrix, [i for i in range(arr.k) if s >> i & 1]))
+            assert chains[s] == smith_form(block).torsion_invariants
+
+
+def test_walk_raises_on_odd_rank():
+    arr = new_realization_sqrt3()
+    arr._expansion_rows[arr.k] = [0] * (2 * arr.n)
+    with pytest.raises(AssertionError, match="even rank"):
+        arr.reports()
+
+
+_CURVES = (curve_gauss(), curve_omega3(), make_curve(make_field(2), 0, 1, 1), curve_third_sqrt2())
+_COORD = st.one_of(st.integers(-3, 3), st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def _arrangement_and_mask(draw) -> tuple[EllipticArrangement, int]:
+    curve = draw(st.sampled_from(_CURVES))
+    k, n = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    row = st.one_of(
+        st.just([(0, 0)] * n), st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)
+    )
+    pairs = draw(st.lists(row, min_size=k, max_size=k))
+    arr = EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=n))
+    return arr, draw(st.integers(0, (1 << k) - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_arrangement_and_mask())
+def test_walk_agrees_with_subset_report(case):
+    arr, fixed = case
+    assert arr.reports() == tuple(arr.subset_report(s) for s in range(1 << arr.k))
+    free = [j for j in range(arr.k) if not fixed >> j & 1]
+    wide = [
+        fixed | sum(1 << j for i, j in enumerate(free) if s >> i & 1)
+        for s in range(1 << len(free))
+    ]
+    assert arr.superset_reports(fixed) == tuple(arr.subset_report(s) for s in wide)
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
