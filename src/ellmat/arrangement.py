@@ -219,29 +219,23 @@ class EllipticArrangement:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"
 
 
-def _selected_matrix(arr: EllipticArrangement, subset: int) -> RingMatrix:
-    arr._check_subset(subset)
-    return row_select(arr.matrix, [i for i in range(arr.k) if subset >> i & 1])
-
-
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the R-basis expansion of the selected rows."""
-    return torsion_order(expand_order(_selected_matrix(arr, subset)))
-
-
-def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:
-    """Multiplicity recomputed from the conjugate transpose of the selected rows."""
-    return torsion_order(expand_lambda(conj_transpose(_selected_matrix(arr, subset))))
+    arr._check_subset(subset)
+    rows = [i for i in range(arr.k) if subset >> i & 1]
+    return torsion_order(expand_order(row_select(arr.matrix, rows)))
 
 
 def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int]:
     """The stacked arrangement realizing the dual matroid as a minor.
 
     Returns the arrangement of the (k+n) x k matrix (I_k over A^H), an
-    arrangement of k+n divisors in E^k, together with the bitmask of the
+    arrangement of k+n divisors in E^k, together with the bitmask T of the
     n rows coming from A^H (the set to contract).  Torsion counts of the
     conjugate transpose match those of A, so the same curve parameters
-    serve for the dual side.
+    serve for the dual side.  Contracting the rows e_i, i in S, deletes the
+    columns of divisor i, so S + T has the torsion order of the conjugate
+    transpose of the rows E - S of A: one walk serves both cross-checks.
     """
     stacked = vstack(RingMatrix.identity(arr.curve, arr.k), conj_transpose(arr.matrix))
     t_mask = ((1 << arr.n) - 1) << arr.k

@@ -347,10 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArrangementFormatError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ArrangementFormatError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

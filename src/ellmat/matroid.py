@@ -25,8 +25,11 @@ tampered tables can be inspected.
 API: `check_axioms(matroid, names, arrangement=None)` is the one verdict
 call.  Its nine names are rank ((r1)-(r3)), a1, a2, p, p1, p2,
 p-equivalence ((P) holds exactly when (A2), (P1) and (P2) do), and the
-cross-checks dual and coker-xcheck, which also read the arrangement the
-tables came from.
+cross-checks dual and coker-xcheck, which also read the arrangement A the
+tables came from.  Both read one walk of the stacked arrangement
+(I_k over A^H) over the supersets of T: dual compares its contraction by
+T with the dual tables; coker-xcheck compares m(S) with the R-basis
+expansion of the rows S and with the walk at E - S.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
@@ -45,8 +48,8 @@ from typing import Iterable, Iterator
 
 from .arrangement import (
     EllipticArrangement,
+    SubsetReport,
     dual_arrangement,
-    multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
 )
 from .quadratic_order import ParameterError, format_terms
@@ -308,34 +311,35 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     }
 
 
-def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Whether the stacked arrangement contracted by T gives the dual tables.
-
-    The contraction reads only the 2^k supersets of T, which one echelon
-    walk of the stacked arrangement tabulates with the rows of T inserted
-    first, in the contraction's own order.
-    """
-    stacked, t_mask = dual_arrangement(arr)
-    reports = stacked.superset_reports(t_mask)
-    base = reports[0].rank
+def _dual_check(
+    stacked: tuple[SubsetReport, ...], matroid: ArithmeticMatroid
+) -> tuple[Violation, ...]:
+    """Whether the stacked walk contracted by T gives the dual tables; its
+    reports come in the contraction's order, so the first one is T itself."""
+    base = stacked[0].rank
     contraction = ArithmeticMatroid(
-        arr.k,
-        tuple(rep.rank - base for rep in reports),
-        tuple(rep.multiplicity for rep in reports),
+        matroid.size,
+        tuple(rep.rank - base for rep in stacked),
+        tuple(rep.multiplicity for rep in stacked),
     )
     if contraction == matroid.dual():
         return ()
     detail = "contraction of the stacked arrangement by T does not match the dual tables"
-    return (Violation("dual", (t_mask,), detail),)
+    return (Violation("dual", (stacked[0].subset,), detail),)
 
 
-def _coker_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Whether every multiplicity of the tables agrees with the two other cokernel bases."""
+def _coker_check(
+    arr: EllipticArrangement, matroid: ArithmeticMatroid, stacked: tuple[SubsetReport, ...]
+) -> tuple[Violation, ...]:
+    """Whether each m(S) of the tables equals the torsion order of the R-basis
+    expansion of the rows S, by its own Smith form, and the stacked walk's
+    multiplicity at E - S, that of the conjugate transpose of the rows S."""
+    e = matroid.ground_mask
     out = []
-    for subset in range(1 << arr.k):
+    for subset in range(e + 1):
         direct = matroid.m[subset]
         via_order = multiplicity_via_order_basis(arr, subset)
-        via_conj = multiplicity_via_conj_transpose(arr, subset)
+        via_conj = stacked[e ^ subset].multiplicity
         if not direct == via_order == via_conj:
             detail = (
                 f"multiplicity of {format_subset(subset)} disagrees across bases: "
@@ -357,13 +361,15 @@ def check_axioms(
     - rank is (r1)-(r3) and a1 is (A1), both read off one local pass;
     - a2, p, p1, p2 and p-equivalence (whether (P) holds exactly when
       (A2), (P1) and (P2) all do) are read off one interval pass;
-    - dual checks that the stacked arrangement realizes the dual tables,
-      and coker-xcheck that every multiplicity agrees across the three
-      cokernel bases.  Both read `arrangement`, the arrangement the tables
-      came from, and raise ParameterError without it or when its ground
-      set differs from the tables'.
+    - dual checks that the stacked arrangement contracted by T realizes
+      the dual tables, and coker-xcheck that every m(S) agrees with the
+      R-basis expansion of the rows S and the stacked superset at E - S.
+      Both read `arrangement`, the arrangement A the tables came from, and
+      raise ParameterError without it or when its ground set differs from
+      the tables'.
 
-    Each pass runs at most once, and only when one of its names is asked.
+    Each pass runs at most once, and only when one of its names is asked;
+    the two cross-checks share one walk of the stacked arrangement.
     """
     names = tuple(dict.fromkeys(names))
     unknown = [name for name in names if name not in AXIOM_NAMES]
@@ -378,10 +384,13 @@ def check_axioms(
         found.update(_local_pass(matroid))
     if _INTERVAL_AXIOMS.intersection(names):
         found.update(_interval_pass(matroid))
+    if _ARRANGEMENT_CHECKS.intersection(names):
+        stacked, t_mask = dual_arrangement(arrangement)
+        supersets = stacked.superset_reports(t_mask)
     if "dual" in names:
-        found["dual"] = _dual_check(arrangement, matroid)
+        found["dual"] = _dual_check(supersets, matroid)
     if "coker-xcheck" in names:
-        found["coker-xcheck"] = _coker_check(arrangement, matroid)
+        found["coker-xcheck"] = _coker_check(arrangement, matroid, supersets)
     return {name: found[name] for name in names}
 
 

@@ -18,10 +18,14 @@ from ellmat import (
     ParameterError,
     RingMatrix,
     Violation,
+    conj_transpose,
+    expand_lambda,
     format_subset,
     make_curve,
     make_field,
+    row_select,
     submasks,
+    torsion_order,
 )
 
 
@@ -167,6 +171,16 @@ def minor_rank_and_torsion(matrix: IntMatrix) -> tuple[int, int]:
             break
         rank, torsion = s, g
     return rank, torsion
+
+
+def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:
+    """Multiplicity recomputed from the conjugate transpose of the selected rows.
+
+    One Smith form per subset: the oracle for the conjugate leg of
+    coker-xcheck, which reads the stacked walk of `dual_arrangement` at E - S.
+    """
+    rows = [i for i in range(arr.k) if subset >> i & 1]
+    return torsion_order(expand_lambda(conj_transpose(row_select(arr.matrix, rows))))
 
 
 def generator_index_oracle(field: FieldParams, a: int, b: int, c: int) -> int:

@@ -17,7 +17,6 @@ from ellmat import (
     from_arrangement,
     make_curve,
     make_field,
-    multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
     random_arrangement,
     row_select,
@@ -33,6 +32,7 @@ from support import (
     curve_omega3,
     curve_sqrt3,
     curve_third_sqrt2,
+    multiplicity_via_conj_transpose,
     new_realization_omega,
     new_realization_sqrt3,
     points_corpus,
@@ -153,10 +153,16 @@ def test_multiplicity_divisibility_chains():
 
 def test_multiplicity_triangulates_across_three_paths():
     for arr in arrangement_corpus(30, seed=52):
+        stacked, t_mask = dual_arrangement(arr)
+        supersets = stacked.superset_reports(t_mask)
+        e = (1 << arr.k) - 1
         for rep in arr.reports():
             s, direct = rep.subset, rep.multiplicity
+            via_conj = multiplicity_via_conj_transpose(arr, s)
             assert direct == multiplicity_via_order_basis(arr, s)
-            assert direct == multiplicity_via_conj_transpose(arr, s)
+            assert direct == via_conj
+            # The stacked identity coker-xcheck reads its conjugate leg from.
+            assert supersets[e ^ s].multiplicity == via_conj
 
 
 def test_single_divisor_multiplicity_is_the_norm():
@@ -184,6 +190,18 @@ def _count_smith_forms(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_superset_walks(monkeypatch) -> list[int]:
+    calls = [0]
+    original = EllipticArrangement.superset_reports
+
+    def counted(self, fixed):
+        calls[0] += 1
+        return original(self, fixed)
+
+    monkeypatch.setattr(EllipticArrangement, "superset_reports", counted)
+    return calls
+
+
 def test_reports_are_memoized(monkeypatch):
     calls = _count_smith_forms(monkeypatch)
     arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
@@ -198,8 +216,22 @@ def test_reports_are_memoized(monkeypatch):
     # and on nothing else.
     deficient = sum(1 for rep in table if rep.subset and rep.rank < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
+    # coker-xcheck runs a Smith form per subset for the order-basis leg and
+    # reads its conjugate leg off one walk of the stacked arrangement, which
+    # runs one on each rank-deficient superset of T; dual shares that walk.
+    stacked, t_mask = dual_arrangement(arr)
+    stacked_deficient = sum(
+        1 for rep in stacked.superset_reports(t_mask) if 0 < rep.rank < arr.k
+    )
+    before = calls[0]
+    walks = _count_superset_walks(monkeypatch)
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
-    assert calls[0] == deficient + (2 << arr.k)
+    assert calls[0] - before == (1 << arr.k) + stacked_deficient
+    assert walks[0] == 1
+    both = check_axioms(matroid, ("dual", "coker-xcheck"), arr)
+    assert both == {"dual": (), "coker-xcheck": ()}
+    assert calls[0] - before == 2 * ((1 << arr.k) + stacked_deficient)
+    assert walks[0] == 2
     fresh = arr.subset_report(3)
     assert fresh == table[3] and fresh is not table[3]
 
@@ -306,6 +338,13 @@ def test_walk_agrees_with_subset_report(case):
         for s in range(1 << len(free))
     ]
     assert arr.superset_reports(fixed) == tuple(arr.subset_report(s) for s in wide)
+    # The stacked-dual identity: the walk of (I_k over A^H) over the supersets
+    # of T has at E - S the multiplicity of the conjugate transpose of rows S.
+    stacked, t_mask = dual_arrangement(arr)
+    supersets, e = stacked.superset_reports(t_mask), (1 << arr.k) - 1
+    assert [supersets[e ^ s].multiplicity for s in range(e + 1)] == [
+        multiplicity_via_conj_transpose(arr, s) for s in range(e + 1)
+    ]
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
