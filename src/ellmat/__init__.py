@@ -37,7 +37,6 @@ from .arrangement import (
     EllipticArrangement,
     SubsetReport,
     dual_arrangement,
-    multiplicity_via_order_basis,
 )
 from .matroid import (
     ArithmeticMatroid,

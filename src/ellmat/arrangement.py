@@ -18,13 +18,14 @@ subset S; a child adds one divisor j beyond the last one added, so every
 subset is visited once.  The walk carries an echelon basis of the row
 lattice L(S) in Z^2n spanned by the selected expansion rows, and a step
 inserts the two expansion rows of divisor j by unimodular extended-gcd
-row operations.  The torsion order of the
-cokernel depends on that lattice alone, so:
+row operations.  The torsion of the cokernel depends on that lattice
+alone, so:
 
 - a full-rank basis (2n rows) has m(S) = |product of its pivots|, the
   index of L(S) in Z^2n, with no Smith form;
 - a rank-deficient basis (fewer rows) gets a Smith form of at most 2n
-  rows, as do the torsion chains, which only `torsion_chains` computes.
+  rows, as does every basis of index other than 1 for the torsion
+  chains, which only `torsion_chains` computes.
 
 Below a full-rank node of determinant D, inserted rows and the entries
 right of each updated pivot are reduced mod D, pivots never (Domich,
@@ -34,9 +35,11 @@ product divides D and D Z^2n stays inside the new lattice.
 
 `reports()` is the walk over all 2^k subsets, computed once.
 `superset_reports(fixed)` walks the subsets containing `fixed`, whose
-rows are inserted first as a shared prefix.  `subset_report` recomputes a
-single subset by its own Smith form; it is the slow path the walk is
-tested against.
+rows are inserted first as a shared prefix.  `order_basis_reports()`
+walks the expansion over the R-basis {1, N*tau} instead, which gives the
+same multiplicities from a different integer matrix.  `subset_report`
+recomputes a single subset by its own Smith form; it is the slow path
+the walk is tested against.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ from .linalg import (
     conj_transpose,
     expand_lambda,
     expand_order,
-    row_select,
     smith_form,
-    torsion_order,
     vstack,
 )
 from .quadratic_order import ParameterError
@@ -150,8 +151,9 @@ class EllipticArrangement:
             raise AssertionError("lattice expansions of order maps have even rank")
         return SubsetReport(subset, snf.rank // 2, snf.torsion_order)
 
-    def _walk(self, fixed: int = 0) -> Iterator[tuple[int, int, list[list[int]], int]]:
-        """The echelon walk over the subsets containing `fixed`.
+    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, int, list, int]]:
+        """The echelon walk of the 2k `expansion` rows over the subsets
+        containing `fixed`.
 
         Yields (subset, narrow, rows, det) once per subset: `narrow` is the
         bitmask of the subset's divisors outside `fixed`, renumbered in
@@ -163,8 +165,8 @@ class EllipticArrangement:
 
         def grow(basis: list, j: int, det: int) -> list:
             basis = basis.copy()
-            _insert(basis, self._expansion_rows[j], det)
-            _insert(basis, self._expansion_rows[self.k + j], det)
+            _insert(basis, expansion[j], det)
+            _insert(basis, expansion[self.k + j], det)
             return basis
 
         def rec(subset: int, narrow: int, start: int, basis: list) -> Iterator:
@@ -183,6 +185,17 @@ class EllipticArrangement:
                 root = grow(root, j, 0)
         return rec(fixed, 0, 0, root)
 
+    def _tabulate(self, expansion: list[list[int]], fixed: int) -> tuple[SubsetReport, ...]:
+        """`superset_reports(fixed)` computed from the 2k `expansion` rows."""
+        cols = 2 * self.n
+        out: list = [None] * (1 << (self.k - fixed.bit_count()))
+        for subset, narrow, rows, det in self._walk(expansion, fixed):
+            if rows and not det:
+                det = smith_form(IntMatrix.from_rows(rows, cols=cols)).torsion_order
+            # An empty basis, rank 0, has trivial torsion.
+            out[narrow] = SubsetReport(subset, len(rows) // 2, det or 1)
+        return tuple(out)
+
     def superset_reports(self, fixed: int) -> tuple[SubsetReport, ...]:
         """Reports of the subsets containing `fixed`, computed afresh.
 
@@ -190,14 +203,7 @@ class EllipticArrangement:
         order of the contraction by `fixed`.
         """
         self._check_subset(fixed)
-        cols = 2 * self.n
-        out: list = [None] * (1 << (self.k - fixed.bit_count()))
-        for subset, narrow, rows, det in self._walk(fixed):
-            if rows and not det:
-                det = smith_form(IntMatrix.from_rows(rows, cols=cols)).torsion_order
-            # An empty basis, rank 0, has trivial torsion.
-            out[narrow] = SubsetReport(subset, len(rows) // 2, det or 1)
-        return tuple(out)
+        return self._tabulate(self._expansion_rows, fixed)
 
     def reports(self) -> tuple[SubsetReport, ...]:
         """All subset reports in ascending bitmask order, tabulated on first call."""
@@ -205,25 +211,25 @@ class EllipticArrangement:
             self._table = self.superset_reports(0)
         return self._table
 
+    def order_basis_reports(self) -> tuple[SubsetReport, ...]:
+        """All subset reports recomputed afresh by the walk of the R-basis
+        expansion instead of the lattice expansion, in ascending bitmask order."""
+        return self._tabulate(expand_order(self.matrix).to_rows(), 0)
+
     def torsion_chains(self) -> tuple[tuple[int, ...], ...]:
         """The invariant factors above 1 of each subset's cokernel torsion,
         in ascending bitmask order, computed afresh by the same walk."""
         chains: list = [()] * (1 << self.k)
-        for subset, _, rows, _ in self._walk():
-            chains[subset] = smith_form(
-                IntMatrix.from_rows(rows, cols=2 * self.n)
-            ).torsion_invariants
+        for subset, _, rows, det in self._walk(self._expansion_rows):
+            # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
+            if det != 1:
+                chains[subset] = smith_form(
+                    IntMatrix.from_rows(rows, cols=2 * self.n)
+                ).torsion_invariants
         return tuple(chains)
 
     def __repr__(self) -> str:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"
-
-
-def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
-    """Multiplicity recomputed from the R-basis expansion of the selected rows."""
-    arr._check_subset(subset)
-    rows = [i for i in range(arr.k) if subset >> i & 1]
-    return torsion_order(expand_order(row_select(arr.matrix, rows)))
 
 
 def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int]:

@@ -26,7 +26,7 @@ from typing import Any
 
 from .arrangement import EllipticArrangement
 from .linalg import RingMatrix
-from .quadratic_order import CurveParams, ParameterError, make_curve, make_field
+from .quadratic_order import COORD_LIMIT, CurveParams, ParameterError, make_curve, make_field
 
 
 class ArrangementFormatError(ValueError):
@@ -90,7 +90,10 @@ def parse_document(doc: Any) -> EllipticArrangement:
             where = f"matrix.entries[{i}][{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ArrangementFormatError(f"{where}: expected an [x, y] pair")
-            out_row.append((_as_int(pair[0], where), _as_int(pair[1], where)))
+            x, y = _as_int(pair[0], where), _as_int(pair[1], where)
+            if max(abs(x), abs(y)) >= COORD_LIMIT:
+                raise ArrangementFormatError(f"{where}: |x| and |y| must be below 2^64")
+            out_row.append((x, y))
         pairs.append(out_row)
     return EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=cols))
 
@@ -144,6 +147,8 @@ def random_arrangement(
         raise ParameterError("k and n must be non-negative")
     if bound < 0:
         raise ParameterError("bound must be non-negative")
+    if bound >= COORD_LIMIT:
+        raise ParameterError("bound must be below 2^64")
     curve = make_curve(make_field(m), a, b, c)
     rng = random.Random(seed)
     pairs = [

@@ -12,8 +12,8 @@ Rows and columns are blocked: all first coordinates precede all second
 coordinates, each block in ascending original index order.
 
 Smith normal form is computed by elimination with the smallest-magnitude
-pivot, entirely over Python integers.  Matrices here stay small (tests cap
-out well under 50 x 50), so clarity wins over asymptotics.
+pivot, entirely over Python integers.  Matrices here stay small: the
+subset walk of `arrangement` hands it echelon bases of at most 2n rows.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ def smith_form(matrix: IntMatrix) -> SmithForm:
     """Smith normal form of `matrix` as a map Z^cols -> Z^rows.
 
     Repeatedly moves the smallest nonzero entry of the trailing block into
-    pivot position, clears its row and column by exact or Euclidean steps,
-    and folds any entry the pivot does not divide back into the pivot row,
-    so the diagonal comes out as a divisibility chain directly.
+    pivot position, clears its column and then its row by exact or
+    Euclidean steps, and folds any entry the pivot does not divide back
+    into the pivot row, so the diagonal comes out as a divisibility chain
+    directly.  Once the column is clear a column step changes the pivot
+    row alone, and a unit pivot, dividing everything, skips the fold.
     """
     rows, cols = matrix.rows, matrix.cols
     a = matrix.to_rows()
@@ -144,32 +146,22 @@ def smith_form(matrix: IntMatrix) -> SmithForm:
                     clean = False
         if not clean:
             continue
+        # Column t is clear below the pivot, so column steps touch row t alone.
         for j in range(t + 1, cols):
-            v = rt[j]
-            if v:
-                q = v // p
-                if q:
-                    for i in range(t, rows):
-                        a[i][j] -= q * a[i][t]
+            if rt[j]:
+                rt[j] %= p
                 if rt[j]:
                     clean = False
         if not clean:
             continue
 
-        # Pivot row and column are clear; make the pivot divide the rest.
-        divides = True
-        for i in range(t + 1, rows):
-            ri = a[i]
-            for j in range(t + 1, cols):
-                if ri[j] % p:
-                    for jj in range(t, cols):
-                        rt[jj] += ri[jj]
-                    divides = False
-                    break
-            if not divides:
-                break
-        if not divides:
-            continue
+        # Pivot row and column are clear; make the pivot divide the rest by
+        # adding a row it does not divide to row t.  A unit pivot divides all.
+        if p != 1 and p != -1:
+            ri = next((r for r in a[t + 1 :] if any(v % p for v in r[t + 1 :])), None)
+            if ri is not None:
+                rt[t:] = [x + y for x, y in zip(rt[t:], ri[t:])]
+                continue
         factors.append(p if p > 0 else -p)
         t += 1
     return SmithForm(rank=len(factors), invariant_factors=tuple(factors))

@@ -28,8 +28,8 @@ p-equivalence ((P) holds exactly when (A2), (P1) and (P2) do), and the
 cross-checks dual and coker-xcheck, which also read the arrangement A the
 tables came from.  Both read one walk of the stacked arrangement
 (I_k over A^H) over the supersets of T: dual compares its contraction by
-T with the dual tables; coker-xcheck compares m(S) with the R-basis
-expansion of the rows S and with the walk at E - S.
+T with the dual tables; coker-xcheck compares m(S) with one walk of the
+R-basis expansion of A at S and with the stacked walk at E - S.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
@@ -50,7 +50,6 @@ from .arrangement import (
     EllipticArrangement,
     SubsetReport,
     dual_arrangement,
-    multiplicity_via_order_basis,
 )
 from .quadratic_order import ParameterError, format_terms
 
@@ -331,14 +330,15 @@ def _dual_check(
 def _coker_check(
     arr: EllipticArrangement, matroid: ArithmeticMatroid, stacked: tuple[SubsetReport, ...]
 ) -> tuple[Violation, ...]:
-    """Whether each m(S) of the tables equals the torsion order of the R-basis
-    expansion of the rows S, by its own Smith form, and the stacked walk's
-    multiplicity at E - S, that of the conjugate transpose of the rows S."""
+    """Whether each m(S) of the tables equals the multiplicity at S of one
+    walk of the R-basis expansion of A, and the stacked walk's multiplicity
+    at E - S, that of the conjugate transpose of the rows S."""
     e = matroid.ground_mask
+    order = arr.order_basis_reports()
     out = []
     for subset in range(e + 1):
         direct = matroid.m[subset]
-        via_order = multiplicity_via_order_basis(arr, subset)
+        via_order = order[subset].multiplicity
         via_conj = stacked[e ^ subset].multiplicity
         if not direct == via_order == via_conj:
             detail = (
@@ -363,7 +363,7 @@ def check_axioms(
       (A2), (P1) and (P2) all do) are read off one interval pass;
     - dual checks that the stacked arrangement contracted by T realizes
       the dual tables, and coker-xcheck that every m(S) agrees with the
-      R-basis expansion of the rows S and the stacked superset at E - S.
+      walk of the R-basis expansion at S and the stacked superset at E - S.
       Both read `arrangement`, the arrangement A the tables came from, and
       raise ParameterError without it or when its ground set differs from
       the tables'.

@@ -25,6 +25,10 @@ class ParameterError(ValueError):
 # make_field refuses m at or above this, so is_square_free needs at most
 # about 1.3 million trial divisions.
 M_LIMIT = 1 << 64
+# make_curve, arrangement files and random arrangements refuse coordinates
+# at or above this in absolute value.  For k <= 20 every printed integer
+# then stays under about 3200 digits, below Python's int-to-str limit.
+COORD_LIMIT = 1 << 64
 
 
 def is_square_free(m: int) -> bool:
@@ -129,6 +133,8 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
         raise ParameterError("b = 0 makes tau real")
     if c == 0:
         raise ParameterError("c must be nonzero")
+    if max(abs(a), abs(b), abs(c)) >= COORD_LIMIT:
+        raise ParameterError("|a|, |b| and |c| of tau must be below 2^64")
     if gcd(gcd(a, b), c) != 1:
         raise ParameterError(f"gcd(a, b, c) must be 1, got ({a}, {b}, {c})")
     if c < 0:

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from typing import NamedTuple
 
 from ellmat import (
@@ -20,6 +20,7 @@ from ellmat import (
     Violation,
     conj_transpose,
     expand_lambda,
+    expand_order,
     format_subset,
     make_curve,
     make_field,
@@ -154,14 +155,15 @@ def det_int(rows: list[list[int]]) -> int:
     return total
 
 
-def minor_rank_and_torsion(matrix: IntMatrix) -> tuple[int, int]:
-    """Rank and gcd of all rank-sized minors, by exhaustive minor enumeration.
+def minor_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors d_i = D_i / D_(i-1), by exhaustive minor enumeration.
 
-    The determinantal divisor D_r for r = rank is the torsion-cokernel
-    order; this never touches the elimination code it is checking.
+    The determinantal divisor D_i is the gcd of all i x i minors, D_0 = 1,
+    and the nonzero ones stop at the rank.  This never touches the
+    elimination code it is checking.
     """
     rows = matrix.to_rows()
-    rank, torsion = 0, 1
+    divisors = [1]
     for s in range(1, min(matrix.rows, matrix.cols) + 1):
         g = 0
         for ri in combinations(range(matrix.rows), s):
@@ -169,8 +171,25 @@ def minor_rank_and_torsion(matrix: IntMatrix) -> tuple[int, int]:
                 g = gcd(g, det_int([[rows[i][j] for j in ci] for i in ri]))
         if g == 0:
             break
-        rank, torsion = s, g
-    return rank, torsion
+        divisors.append(g)
+    return tuple(d // prev for prev, d in zip(divisors, divisors[1:]))
+
+
+def minor_rank_and_torsion(matrix: IntMatrix) -> tuple[int, int]:
+    """Rank and gcd of all rank-sized minors, the determinantal divisor D_r
+    for r = rank, which is the torsion-cokernel order."""
+    factors = minor_invariant_factors(matrix)
+    return len(factors), prod(factors)
+
+
+def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
+    """Multiplicity recomputed from the R-basis expansion of the selected rows.
+
+    One Smith form per subset: the oracle for the order-basis leg of
+    coker-xcheck, which reads the walk of `order_basis_reports`.
+    """
+    rows = [i for i in range(arr.k) if subset >> i & 1]
+    return torsion_order(expand_order(row_select(arr.matrix, rows)))
 
 
 def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:

@@ -17,7 +17,6 @@ from ellmat import (
     from_arrangement,
     make_curve,
     make_field,
-    multiplicity_via_order_basis,
     random_arrangement,
     row_select,
     scalar,
@@ -33,6 +32,7 @@ from support import (
     curve_sqrt3,
     curve_third_sqrt2,
     multiplicity_via_conj_transpose,
+    multiplicity_via_order_basis,
     new_realization_omega,
     new_realization_sqrt3,
     points_corpus,
@@ -216,9 +216,13 @@ def test_reports_are_memoized(monkeypatch):
     # and on nothing else.
     deficient = sum(1 for rep in table if rep.subset and rep.rank < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
-    # coker-xcheck runs a Smith form per subset for the order-basis leg and
-    # reads its conjugate leg off one walk of the stacked arrangement, which
-    # runs one on each rank-deficient superset of T; dual shares that walk.
+    # coker-xcheck reads its order-basis leg off one walk of the R-basis
+    # expansion and its conjugate leg off one walk of the stacked
+    # arrangement; each runs a Smith form on its own rank-deficient
+    # subsets, and dual shares the stacked walk.
+    order_deficient = sum(
+        1 for rep in arr.order_basis_reports() if rep.subset and rep.rank < arr.n
+    )
     stacked, t_mask = dual_arrangement(arr)
     stacked_deficient = sum(
         1 for rep in stacked.superset_reports(t_mask) if 0 < rep.rank < arr.k
@@ -226,11 +230,11 @@ def test_reports_are_memoized(monkeypatch):
     before = calls[0]
     walks = _count_superset_walks(monkeypatch)
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
-    assert calls[0] - before == (1 << arr.k) + stacked_deficient
+    assert 0 < calls[0] - before == order_deficient + stacked_deficient
     assert walks[0] == 1
     both = check_axioms(matroid, ("dual", "coker-xcheck"), arr)
     assert both == {"dual": (), "coker-xcheck": ()}
-    assert calls[0] - before == 2 * ((1 << arr.k) + stacked_deficient)
+    assert calls[0] - before == 2 * (order_deficient + stacked_deficient)
     assert walks[0] == 2
     fresh = arr.subset_report(3)
     assert fresh == table[3] and fresh is not table[3]
@@ -338,6 +342,9 @@ def test_walk_agrees_with_subset_report(case):
         for s in range(1 << len(free))
     ]
     assert arr.superset_reports(fixed) == tuple(arr.subset_report(s) for s in wide)
+    assert [rep.multiplicity for rep in arr.order_basis_reports()] == [
+        multiplicity_via_order_basis(arr, s) for s in range(1 << arr.k)
+    ]
     # The stacked-dual identity: the walk of (I_k over A^H) over the supersets
     # of T has at E - S the multiplicity of the conjugate transpose of rows S.
     stacked, t_mask = dual_arrangement(arr)

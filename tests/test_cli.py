@@ -258,6 +258,29 @@ def test_ground_set_cap_exit_code(tmp_path, capsys):
         assert "error:" in err and "cap of 20" in err
 
 
+def test_huge_coordinates_exit_code(tmp_path, capsys):
+    # Legal JSON, under the 4300-digit limit, but the multiplicities and
+    # coefficients printed from such entries would pass it.
+    doc = {
+        "field": {"m": 1},
+        "tau": {"a": 0, "b": 1, "c": 1},
+        "matrix": {"rows": 1, "cols": 1, "entries": [[[10**4000, 1]]]},
+    }
+    path = tmp_path / "huge_entry.json"
+    path.write_text(json.dumps(doc))
+    message = "error: matrix.entries[0][0]: |x| and |y| must be below 2^64\n"
+    for command in ("analyze", "analyze --json", "verify", "tutte", "euler", "gcd-check", "dual"):
+        name, *flags = command.split()
+        assert run_cli(capsys, name, str(path), *flags) == (2, "", message)
+    tau = "--tau", f"0,1,{10**4000 + 1}"
+    assert run_cli(capsys, "order-info", "--m", "1", *tau)[0] == 2
+    random_args = "random --k 1 --n 1 --m 1 --tau 0,1,1 --seed 1 --bound".split()
+    assert run_cli(capsys, *random_args, str(1 << 64))[0] == 2
+    # The largest legal coordinates still parse.
+    assert run_cli(capsys, *random_args, str((1 << 64) - 1), "--out", str(path))[0] == 0
+    assert run_cli(capsys, "tutte", str(path))[0] == 0
+
+
 def test_huge_m_exit_code(tmp_path, capsys):
     doc = dict(FIXTURE_SQRT3_DOC, field={"m": 10**29 + 1})
     path = tmp_path / "huge_m.json"

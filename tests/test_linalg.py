@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellmat import (
     IntMatrix,
@@ -21,6 +23,7 @@ from support import (
     curve_omega3,
     curve_sqrt3,
     matrix_corpus,
+    minor_invariant_factors,
     minor_rank_and_torsion,
     random_ring_matrix,
 )
@@ -75,6 +78,49 @@ def test_smith_matches_minor_enumeration():
         rank, torsion = minor_rank_and_torsion(mat)
         assert snf.rank == rank
         assert snf.torsion_order == torsion
+
+
+def test_smith_euclid_and_fold_cases():
+    cases = {
+        # A column step leaves a remainder in the pivot row.
+        ((2, 3),): (1,),
+        ((4, 6, 9),): (1,),
+        ((-3, 0, 7), (0, 0, 0)): (1,),
+        # The pivot does not divide the trailing block, so a row is folded in.
+        ((2, 0), (0, 3)): (1, 6),
+        ((-2, 0), (0, -3)): (1, 6),
+        ((4, 0), (0, 6)): (2, 12),
+        ((6, 0, 0), (0, 10, 0), (0, 0, 15)): (1, 30, 30),
+        ((3, 1, 0), (0, 3, 0), (0, 0, 0)): (1, 9),
+    }
+    for rows, factors in cases.items():
+        mat = IntMatrix.from_rows(rows)
+        assert smith_form(mat).invariant_factors == factors == minor_invariant_factors(mat)
+
+
+_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def _int_matrix(draw) -> IntMatrix:
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    row = st.one_of(st.just([0] * cols), st.lists(_ENTRY, min_size=cols, max_size=cols))
+    data = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        # Echelon shape, the walk's bases: zeros left of a staircase of
+        # pivots, units and negative pivots among them.
+        pivot = st.sampled_from((1, -1, 2, -2, 3, 6, -12))
+        for i, r in enumerate(data[:cols]):
+            if any(r):
+                r[:i] = [0] * i
+                r[i] = draw(pivot)
+    return IntMatrix.from_rows(data, cols=cols)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_int_matrix())
+def test_smith_invariant_factors_match_minor_gcds(mat):
+    assert smith_form(mat).invariant_factors == minor_invariant_factors(mat)
 
 
 def test_smith_invariant_under_unimodular_operations():
