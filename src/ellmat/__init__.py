@@ -11,7 +11,6 @@ Everything is computed over plain Python integers.
 from .quadratic_order import (
     CurveParams,
     FieldParams,
-    IntQuadratic,
     ParameterError,
     RingElement,
     generator,
@@ -19,25 +18,9 @@ from .quadratic_order import (
     make_curve,
     make_field,
     min_poly,
-    scalar,
 )
-from .linalg import (
-    IntMatrix,
-    RingMatrix,
-    SmithForm,
-    conj_transpose,
-    expand_lambda,
-    expand_order,
-    row_select,
-    smith_form,
-    torsion_order,
-    vstack,
-)
-from .arrangement import (
-    EllipticArrangement,
-    SubsetReport,
-    dual_arrangement,
-)
+from .linalg import RingMatrix, expand_lambda, row_select, smith_form
+from .arrangement import EllipticArrangement, dual_arrangement
 from .matroid import (
     ArithmeticMatroid,
     BiPoly,
@@ -49,9 +32,7 @@ from .matroid import (
     format_subset,
     from_arrangement,
     gcd_property,
-    poly_eval,
     poly_str,
-    submasks,
     tutte,
 )
 from .fileio import (

@@ -33,23 +33,24 @@ Kannan & Trotter, Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2).  This is
 sound because every later pivot divides the one it replaces, so their
 product divides D and D Z^2n stays inside the new lattice.
 
-`reports()` is the walk over all 2^k subsets, computed once.
-`superset_reports(fixed)` walks the subsets containing `fixed`, whose
-rows are inserted first as a shared prefix.  `order_basis_reports()`
-walks the expansion over the R-basis {1, N*tau} instead, which gives the
-same multiplicities from a different integer matrix.  `subset_report`
-recomputes a single subset by its own Smith form; it is the slow path
-the walk is tested against.
+Every walk returns the pair (rk, m) of int tuples, the rank and the
+multiplicity of each subset it visits, the shape `ArithmeticMatroid`
+takes.  `reports()` is the walk over all 2^k subsets in ascending bitmask
+order, computed once.  `superset_reports(fixed)` walks the subsets
+containing `fixed`, whose rows are inserted first as a shared prefix.
+`order_basis_reports()` walks the expansion over the R-basis {1, N*tau}
+instead, which gives the same multiplicities from a different integer
+matrix.  `subset_report(s)` recomputes (rank, multiplicity) of a single
+subset by its own Smith form; it is the slow path the walk is tested
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterator
 
 from .linalg import (
-    IntMatrix,
     RingMatrix,
     conj_transpose,
     expand_lambda,
@@ -59,14 +60,8 @@ from .linalg import (
 )
 from .quadratic_order import ParameterError
 
-
-@dataclass(frozen=True)
-class SubsetReport:
-    """Rank and multiplicity of one intersection."""
-
-    subset: int
-    rank: int
-    multiplicity: int
+# The rank and the multiplicity tables of a run of subsets.
+Tables = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -120,8 +115,8 @@ class EllipticArrangement:
     def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
         self.curve = matrix.curve
-        self._expansion_rows = expand_lambda(matrix).to_rows()
-        self._table: tuple[SubsetReport, ...] | None = None
+        self._expansion_rows = expand_lambda(matrix)
+        self._table: Tables | None = None
 
     @property
     def k(self) -> int:
@@ -137,28 +132,26 @@ class EllipticArrangement:
                 f"subset {subset:#x} out of range for {self.k} divisors"
             )
 
-    def _selected_expansion(self, subset: int) -> IntMatrix:
+    def subset_report(self, subset: int) -> tuple[int, int]:
+        """(rank, multiplicity) of one subset, by its own Smith form."""
+        self._check_subset(subset)
         idx = [i for i in range(self.k) if subset >> i & 1]
         rows = [self._expansion_rows[i] for i in idx]
         rows += [self._expansion_rows[self.k + i] for i in idx]
-        return IntMatrix.from_rows(rows, cols=2 * self.n)
-
-    def subset_report(self, subset: int) -> SubsetReport:
-        """Rank and multiplicity of one subset, by its own Smith form."""
-        self._check_subset(subset)
-        snf = smith_form(self._selected_expansion(subset))
+        snf = smith_form(rows)
         if snf.rank % 2:
             raise AssertionError("lattice expansions of order maps have even rank")
-        return SubsetReport(subset, snf.rank // 2, snf.torsion_order)
+        return snf.rank // 2, prod(snf.invariant_factors)
 
-    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, int, list, int]]:
+    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, list, int]]:
         """The echelon walk of the 2k `expansion` rows over the subsets
         containing `fixed`.
 
-        Yields (subset, narrow, rows, det) once per subset: `narrow` is the
-        bitmask of the subset's divisors outside `fixed`, renumbered in
-        ascending order; `rows` is an echelon basis of the selected row
-        lattice; `det` is its index in Z^2n when it has full rank, else 0.
+        Yields (narrow, rows, det) once per subset: `narrow` is the bitmask
+        of the subset's divisors outside `fixed`, renumbered in ascending
+        order, so the subset itself when `fixed` is 0; `rows` is an echelon
+        basis of the selected row lattice; `det` is its index in Z^2n when
+        it has full rank, else 0.
         """
         cols = 2 * self.n
         free = [j for j in range(self.k) if not fixed >> j & 1]
@@ -169,35 +162,34 @@ class EllipticArrangement:
             _insert(basis, expansion[self.k + j], det)
             return basis
 
-        def rec(subset: int, narrow: int, start: int, basis: list) -> Iterator:
+        def rec(narrow: int, start: int, basis: list) -> Iterator:
             rows = [b for b in basis if b is not None]
             if len(rows) % 2:
                 raise AssertionError("lattice expansions of order maps have even rank")
             det = abs(prod(b[c] for c, b in enumerate(basis))) if len(rows) == cols else 0
-            yield subset, narrow, rows, det
+            yield narrow, rows, det
             for i in range(start, len(free)):
-                j = free[i]
-                yield from rec(subset | 1 << j, narrow | 1 << i, i + 1, grow(basis, j, det))
+                yield from rec(narrow | 1 << i, i + 1, grow(basis, free[i], det))
 
         root: list = [None] * cols
         for j in range(self.k):
             if fixed >> j & 1:
                 root = grow(root, j, 0)
-        return rec(fixed, 0, 0, root)
+        return rec(0, 0, root)
 
-    def _tabulate(self, expansion: list[list[int]], fixed: int) -> tuple[SubsetReport, ...]:
+    def _tabulate(self, expansion: list[list[int]], fixed: int) -> Tables:
         """`superset_reports(fixed)` computed from the 2k `expansion` rows."""
-        cols = 2 * self.n
-        out: list = [None] * (1 << (self.k - fixed.bit_count()))
-        for subset, narrow, rows, det in self._walk(expansion, fixed):
+        size = 1 << (self.k - fixed.bit_count())
+        rk, m = [0] * size, [1] * size
+        for narrow, rows, det in self._walk(expansion, fixed):
             if rows and not det:
-                det = smith_form(IntMatrix.from_rows(rows, cols=cols)).torsion_order
+                det = prod(smith_form(rows).invariant_factors)
             # An empty basis, rank 0, has trivial torsion.
-            out[narrow] = SubsetReport(subset, len(rows) // 2, det or 1)
-        return tuple(out)
+            rk[narrow], m[narrow] = len(rows) // 2, det or 1
+        return tuple(rk), tuple(m)
 
-    def superset_reports(self, fixed: int) -> tuple[SubsetReport, ...]:
-        """Reports of the subsets containing `fixed`, computed afresh.
+    def superset_reports(self, fixed: int) -> Tables:
+        """The (rk, m) tables of the subsets containing `fixed`, computed afresh.
 
         They come in the bitmask order of the divisors outside `fixed`, the
         order of the contraction by `fixed`.
@@ -205,27 +197,27 @@ class EllipticArrangement:
         self._check_subset(fixed)
         return self._tabulate(self._expansion_rows, fixed)
 
-    def reports(self) -> tuple[SubsetReport, ...]:
-        """All subset reports in ascending bitmask order, tabulated on first call."""
+    def reports(self) -> Tables:
+        """The (rk, m) tables of all subsets in ascending bitmask order,
+        tabulated on first call."""
         if self._table is None:
             self._table = self.superset_reports(0)
         return self._table
 
-    def order_basis_reports(self) -> tuple[SubsetReport, ...]:
-        """All subset reports recomputed afresh by the walk of the R-basis
-        expansion instead of the lattice expansion, in ascending bitmask order."""
-        return self._tabulate(expand_order(self.matrix).to_rows(), 0)
+    def order_basis_reports(self) -> Tables:
+        """The (rk, m) tables of all subsets recomputed afresh by the walk of
+        the R-basis expansion instead of the lattice expansion, in ascending
+        bitmask order."""
+        return self._tabulate(expand_order(self.matrix), 0)
 
     def torsion_chains(self) -> tuple[tuple[int, ...], ...]:
         """The invariant factors above 1 of each subset's cokernel torsion,
         in ascending bitmask order, computed afresh by the same walk."""
         chains: list = [()] * (1 << self.k)
-        for subset, _, rows, det in self._walk(self._expansion_rows):
+        for subset, rows, det in self._walk(self._expansion_rows):
             # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
             if det != 1:
-                chains[subset] = smith_form(
-                    IntMatrix.from_rows(rows, cols=2 * self.n)
-                ).torsion_invariants
+                chains[subset] = smith_form(rows).torsion_invariants
         return tuple(chains)
 
     def __repr__(self) -> str:

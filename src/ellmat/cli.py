@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Sequence
 
-from .arrangement import EllipticArrangement, dual_arrangement
+from .arrangement import dual_arrangement
 from .fileio import (
     ArrangementFormatError,
     load_arrangement,
@@ -35,6 +35,7 @@ from .fileio import (
 from .matroid import (
     AXIOM_NAMES,
     AXIOMS,
+    ArithmeticMatroid,
     char_poly,
     check_axioms,
     euler_characteristic,
@@ -82,18 +83,13 @@ def _torsion_str(invariants: tuple[int, ...]) -> str:
 
 
 def _subset_table(
-    arr: EllipticArrangement, chains: tuple[tuple[int, ...], ...]
+    matroid: ArithmeticMatroid, n: int, chains: tuple[tuple[int, ...], ...]
 ) -> list[tuple[str, str, str, str, str]]:
     rows = [("subset", "rank", "layers", "dim", "torsion")]
-    for rep, chain in zip(arr.reports(), chains):
+    for s, chain in enumerate(chains):
+        rank = matroid.rk[s]
         rows.append(
-            (
-                format_subset(rep.subset),
-                str(rep.rank),
-                str(rep.multiplicity),
-                str(arr.n - rep.rank),
-                _torsion_str(chain),
-            )
+            (format_subset(s), str(rank), str(matroid.m[s]), str(n - rank), _torsion_str(chain))
         )
     return rows
 
@@ -124,14 +120,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "arrangement": {"k": arr.k, "n": arr.n, "essential": essential},
             "subsets": [
                 {
-                    "subset": rep.subset,
-                    "indices": [i + 1 for i in range(arr.k) if rep.subset >> i & 1],
-                    "rank": rep.rank,
-                    "multiplicity": rep.multiplicity,
-                    "layer_dim": arr.n - rep.rank,
+                    "subset": s,
+                    "indices": [i + 1 for i in range(arr.k) if s >> i & 1],
+                    "rank": matroid.rk[s],
+                    "multiplicity": matroid.m[s],
+                    "layer_dim": arr.n - matroid.rk[s],
                     "torsion": list(chain),
                 }
-                for rep, chain in zip(arr.reports(), chains)
+                for s, chain in enumerate(chains)
             ],
             "axioms": {
                 name: {"ok": not v, "violations": [vi.detail for vi in v]}
@@ -153,7 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"arrangement: {arr.k} divisors in E^{arr.n}")
     print(f"essential: {'yes' if essential else 'no'}")
     print()
-    _print_table(_subset_table(arr, chains))
+    _print_table(_subset_table(matroid, arr.n, chains))
     print()
     print(f"tutte polynomial: {t_poly.format('x', 'y')}")
     print(f"characteristic polynomial: {poly_str(chi, 't')}")
@@ -280,7 +276,8 @@ def cmd_random(args: argparse.Namespace) -> int:
 
 
 def _axioms_list(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
+    """The check names of a comma list, each once, in the order first named."""
+    names = list(dict.fromkeys(p.strip() for p in text.split(",") if p.strip()))
     for name in names:
         if name not in AXIOM_CHOICES:
             raise argparse.ArgumentTypeError(

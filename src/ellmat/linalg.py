@@ -9,7 +9,9 @@ and d = delta_prime (so norm(w) = N*d), the two actions have block forms
     on R-coordinates:  [[X, -Y*d*N], [Y,  X + Y*s]]
 
 Rows and columns are blocked: all first coordinates precede all second
-coordinates, each block in ascending original index order.
+coordinates, each block in ascending original index order.  Integer
+matrices are plain lists of rows, so the expansions, the echelon bases of
+`arrangement` and the Smith form all share one shape.
 
 Smith normal form is computed by elimination with the smallest-magnitude
 pivot, entirely over Python integers.  Matrices here stay small: the
@@ -22,43 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .quadratic_order import CurveParams, ParameterError, RingElement
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary precision entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ParameterError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ParameterError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, data: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in data]
-        if rows:
-            width = len(rows[0])
-        else:
-            width = 0 if cols is None else cols
-        flat: list[int] = []
-        for r in rows:
-            if len(r) != width:
-                raise ParameterError("ragged rows")
-            flat.extend(r)
-        return cls(len(rows), width, tuple(flat))
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 @dataclass(frozen=True)
@@ -80,19 +45,13 @@ class SmithForm:
             prev = d
 
     @property
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
-    @property
     def torsion_invariants(self) -> tuple[int, ...]:
         return tuple(d for d in self.invariant_factors if d > 1)
 
 
-def smith_form(matrix: IntMatrix) -> SmithForm:
-    """Smith normal form of `matrix` as a map Z^cols -> Z^rows.
+def smith_form(matrix: list[list[int]]) -> SmithForm:
+    """Smith normal form of the integer row list `matrix`, a map
+    Z^cols -> Z^rows; the rows are copied, never changed.
 
     Repeatedly moves the smallest nonzero entry of the trailing block into
     pivot position, clears its column and then its row by exact or
@@ -101,8 +60,8 @@ def smith_form(matrix: IntMatrix) -> SmithForm:
     directly.  Once the column is clear a column step changes the pivot
     row alone, and a unit pivot, dividing everything, skips the fold.
     """
-    rows, cols = matrix.rows, matrix.cols
-    a = matrix.to_rows()
+    a = [list(r) for r in matrix]
+    rows, cols = len(a), len(a[0]) if a else 0
     factors: list[int] = []
     t = 0
     limit = min(rows, cols)
@@ -167,12 +126,6 @@ def smith_form(matrix: IntMatrix) -> SmithForm:
     return SmithForm(rank=len(factors), invariant_factors=tuple(factors))
 
 
-def torsion_order(matrix: IntMatrix) -> int:
-    """Order of the torsion subgroup of coker(matrix): the product of the
-    invariant factors, equivalently the gcd of all rank-sized minors."""
-    return smith_form(matrix).torsion_order
-
-
 @dataclass(frozen=True)
 class RingMatrix:
     """k x n matrix of order elements, all over one curve."""
@@ -218,8 +171,8 @@ class RingMatrix:
         return self.entries[i][j]
 
 
-def expand_lambda(a: RingMatrix) -> IntMatrix:
-    """2k x 2n integer matrix of A acting on <1, tau>-coordinates."""
+def expand_lambda(a: RingMatrix) -> list[list[int]]:
+    """The 2k integer rows, of length 2n, of A acting on <1, tau>-coordinates."""
     cv = a.curve
     s = cv.gen_trace
     d = cv.delta_prime
@@ -230,11 +183,11 @@ def expand_lambda(a: RingMatrix) -> IntMatrix:
     bottom = [
         [big_n * e.y for e in row] + [e.x + s * e.y for e in row] for row in a.entries
     ]
-    return IntMatrix.from_rows(top + bottom, cols=2 * a.n)
+    return top + bottom
 
 
-def expand_order(a: RingMatrix) -> IntMatrix:
-    """2k x 2n integer matrix of A acting on <1, N*tau>-coordinates."""
+def expand_order(a: RingMatrix) -> list[list[int]]:
+    """The 2k integer rows, of length 2n, of A acting on <1, N*tau>-coordinates."""
     cv = a.curve
     s = cv.gen_trace
     dn = cv.delta_prime * cv.N
@@ -244,7 +197,7 @@ def expand_order(a: RingMatrix) -> IntMatrix:
     bottom = [
         [e.y for e in row] + [e.x + s * e.y for e in row] for row in a.entries
     ]
-    return IntMatrix.from_rows(top + bottom, cols=2 * a.n)
+    return top + bottom
 
 
 def conj_transpose(a: RingMatrix) -> RingMatrix:

@@ -46,11 +46,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable, Iterator
 
-from .arrangement import (
-    EllipticArrangement,
-    SubsetReport,
-    dual_arrangement,
-)
+from .arrangement import EllipticArrangement, Tables, dual_arrangement
 from .quadratic_order import ParameterError, format_terms
 
 
@@ -150,17 +146,12 @@ MAX_GROUND = 20
 
 
 def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
-    """Rank and multiplicity tables read off the arrangement's subset reports."""
+    """The arrangement's rank and multiplicity tables."""
     if arr.k > MAX_GROUND:
         raise ParameterError(
             f"ground set of {arr.k} elements exceeds the cap of {MAX_GROUND}"
         )
-    reports = arr.reports()
-    return ArithmeticMatroid(
-        arr.k,
-        tuple(rep.rank for rep in reports),
-        tuple(rep.multiplicity for rep in reports),
-    )
+    return ArithmeticMatroid(arr.k, *arr.reports())
 
 
 @dataclass(frozen=True)
@@ -310,36 +301,31 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     }
 
 
-def _dual_check(
-    stacked: tuple[SubsetReport, ...], matroid: ArithmeticMatroid
-) -> tuple[Violation, ...]:
-    """Whether the stacked walk contracted by T gives the dual tables; its
-    reports come in the contraction's order, so the first one is T itself."""
-    base = stacked[0].rank
-    contraction = ArithmeticMatroid(
-        matroid.size,
-        tuple(rep.rank - base for rep in stacked),
-        tuple(rep.multiplicity for rep in stacked),
-    )
+def _dual_check(stacked: Tables, t_mask: int, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
+    """Whether the stacked walk over the supersets of T, contracted by T,
+    gives the dual tables; it comes in the contraction's order, so its
+    first entry is T itself."""
+    rk, m = stacked
+    contraction = ArithmeticMatroid(matroid.size, tuple(r - rk[0] for r in rk), m)
     if contraction == matroid.dual():
         return ()
     detail = "contraction of the stacked arrangement by T does not match the dual tables"
-    return (Violation("dual", (stacked[0].subset,), detail),)
+    return (Violation("dual", (t_mask,), detail),)
 
 
 def _coker_check(
-    arr: EllipticArrangement, matroid: ArithmeticMatroid, stacked: tuple[SubsetReport, ...]
+    arr: EllipticArrangement, matroid: ArithmeticMatroid, stacked: Tables
 ) -> tuple[Violation, ...]:
     """Whether each m(S) of the tables equals the multiplicity at S of one
     walk of the R-basis expansion of A, and the stacked walk's multiplicity
     at E - S, that of the conjugate transpose of the rows S."""
     e = matroid.ground_mask
-    order = arr.order_basis_reports()
+    order_m, stacked_m = arr.order_basis_reports()[1], stacked[1]
     out = []
     for subset in range(e + 1):
         direct = matroid.m[subset]
-        via_order = order[subset].multiplicity
-        via_conj = stacked[e ^ subset].multiplicity
+        via_order = order_m[subset]
+        via_conj = stacked_m[e ^ subset]
         if not direct == via_order == via_conj:
             detail = (
                 f"multiplicity of {format_subset(subset)} disagrees across bases: "
@@ -388,7 +374,7 @@ def check_axioms(
         stacked, t_mask = dual_arrangement(arrangement)
         supersets = stacked.superset_reports(t_mask)
     if "dual" in names:
-        found["dual"] = _dual_check(supersets, matroid)
+        found["dual"] = _dual_check(supersets, t_mask, matroid)
     if "coker-xcheck" in names:
         found["coker-xcheck"] = _coker_check(arrangement, matroid, supersets)
     return {name: found[name] for name in names}

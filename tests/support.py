@@ -14,20 +14,18 @@ from ellmat import (
     BiPoly,
     EllipticArrangement,
     FieldParams,
-    IntMatrix,
     ParameterError,
     RingMatrix,
     Violation,
-    conj_transpose,
     expand_lambda,
-    expand_order,
     format_subset,
     make_curve,
     make_field,
     row_select,
-    submasks,
-    torsion_order,
+    smith_form,
 )
+from ellmat.linalg import conj_transpose, expand_order
+from ellmat.matroid import submasks
 
 
 def curve_sqrt3():
@@ -155,19 +153,19 @@ def det_int(rows: list[list[int]]) -> int:
     return total
 
 
-def minor_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
+def minor_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
     """Invariant factors d_i = D_i / D_(i-1), by exhaustive minor enumeration.
 
     The determinantal divisor D_i is the gcd of all i x i minors, D_0 = 1,
     and the nonzero ones stop at the rank.  This never touches the
     elimination code it is checking.
     """
-    rows = matrix.to_rows()
+    height, width = len(rows), len(rows[0]) if rows else 0
     divisors = [1]
-    for s in range(1, min(matrix.rows, matrix.cols) + 1):
+    for s in range(1, min(height, width) + 1):
         g = 0
-        for ri in combinations(range(matrix.rows), s):
-            for ci in combinations(range(matrix.cols), s):
+        for ri in combinations(range(height), s):
+            for ci in combinations(range(width), s):
                 g = gcd(g, det_int([[rows[i][j] for j in ci] for i in ri]))
         if g == 0:
             break
@@ -175,7 +173,7 @@ def minor_invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
     return tuple(d // prev for prev, d in zip(divisors, divisors[1:]))
 
 
-def minor_rank_and_torsion(matrix: IntMatrix) -> tuple[int, int]:
+def minor_rank_and_torsion(matrix: list[list[int]]) -> tuple[int, int]:
     """Rank and gcd of all rank-sized minors, the determinantal divisor D_r
     for r = rank, which is the torsion-cokernel order."""
     factors = minor_invariant_factors(matrix)
@@ -189,7 +187,7 @@ def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     coker-xcheck, which reads the walk of `order_basis_reports`.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
-    return torsion_order(expand_order(row_select(arr.matrix, rows)))
+    return prod(smith_form(expand_order(row_select(arr.matrix, rows))).invariant_factors)
 
 
 def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:
@@ -199,7 +197,8 @@ def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> in
     coker-xcheck, which reads the stacked walk of `dual_arrangement` at E - S.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
-    return torsion_order(expand_lambda(conj_transpose(row_select(arr.matrix, rows))))
+    flipped = conj_transpose(row_select(arr.matrix, rows))
+    return prod(smith_form(expand_lambda(flipped)).invariant_factors)
 
 
 def generator_index_oracle(field: FieldParams, a: int, b: int, c: int) -> int:

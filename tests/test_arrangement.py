@@ -10,7 +10,6 @@ from ellmat import (
     EllipticArrangement,
     ParameterError,
     RingMatrix,
-    SmithForm,
     check_axioms,
     dual_arrangement,
     expand_lambda,
@@ -19,10 +18,10 @@ from ellmat import (
     make_field,
     random_arrangement,
     row_select,
-    scalar,
     smith_form,
 )
-from ellmat.quadratic_order import RingElement
+from ellmat.linalg import SmithForm
+from ellmat.quadratic_order import RingElement, scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (
@@ -41,20 +40,20 @@ from support import (
 
 def test_multiplicities_over_sqrt3():
     arr = new_realization_sqrt3()
-    assert [arr.subset_report(s).multiplicity for s in range(4)] == [1, 4, 4, 2]
+    assert [arr.subset_report(s)[1] for s in range(4)] == [1, 4, 4, 2]
 
 
 def test_multiplicities_over_maximal_order():
     arr = new_realization_omega()
-    assert [arr.subset_report(s).multiplicity for s in range(4)] == [1, 4, 4, 4]
+    assert [arr.subset_report(s)[1] for s in range(4)] == [1, 4, 4, 4]
 
 
 def test_ranks_and_layer_dimensions():
     arr = new_realization_sqrt3()
-    assert arr.subset_report(0).rank == 0
-    assert arr.subset_report(0b11).rank == 1
-    assert arr.n - arr.subset_report(0).rank == 1
-    assert arr.n - arr.subset_report(0b11).rank == 0
+    assert arr.subset_report(0)[0] == 0
+    assert arr.subset_report(0b11)[0] == 1
+    assert arr.n - arr.subset_report(0)[0] == 1
+    assert arr.n - arr.subset_report(0b11)[0] == 0
 
 
 def test_torsion_invariant_chains():
@@ -67,11 +66,11 @@ def test_torsion_invariant_chains():
 
 def test_report_consistency():
     arr = new_realization_sqrt3()
-    for rep, chain in zip(arr.reports(), arr.torsion_chains(), strict=True):
+    for multiplicity, chain in zip(arr.reports()[1], arr.torsion_chains(), strict=True):
         product = 1
         for d in chain:
             product *= d
-        assert product == rep.multiplicity
+        assert product == multiplicity
 
 
 def test_zero_rows_behave_as_loops():
@@ -79,10 +78,10 @@ def test_zero_rows_behave_as_loops():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve, [[(0, 0), (0, 0)], [(1, 0), (2, 1)]])
     )
-    rep = arr.subset_report(0b01)
-    assert rep.rank == 0
-    assert rep.multiplicity == 1
-    assert arr.n - rep.rank == 2
+    rank, multiplicity = arr.subset_report(0b01)
+    assert rank == 0
+    assert multiplicity == 1
+    assert arr.n - rank == 2
 
 
 def test_subset_out_of_range():
@@ -113,7 +112,7 @@ def test_layer_dimension_single_row_in_e3():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (0, 0), (0, 1)]])
     )
-    assert arr.n - arr.subset_report(0b1).rank == 2
+    assert arr.n - arr.subset_report(0b1)[0] == 2
 
 
 def test_dual_arrangement_structure():
@@ -139,30 +138,29 @@ def test_dual_arrangement_of_empty_columns():
 
 def test_multiplicity_divisibility_chains():
     for arr in arrangement_corpus(40, seed=51):
-        reports = arr.reports()
+        rk, m = arr.reports()
         for s in range(1 << arr.k):
             for i in range(arr.k):
                 if s >> i & 1:
                     continue
-                small, grown = reports[s], reports[s | 1 << i]
-                if grown.rank == small.rank:
-                    assert small.multiplicity % grown.multiplicity == 0
+                grown = s | 1 << i
+                if rk[grown] == rk[s]:
+                    assert m[s] % m[grown] == 0
                 else:
-                    assert grown.multiplicity % small.multiplicity == 0
+                    assert m[grown] % m[s] == 0
 
 
 def test_multiplicity_triangulates_across_three_paths():
     for arr in arrangement_corpus(30, seed=52):
         stacked, t_mask = dual_arrangement(arr)
-        supersets = stacked.superset_reports(t_mask)
+        _, supersets_m = stacked.superset_reports(t_mask)
         e = (1 << arr.k) - 1
-        for rep in arr.reports():
-            s, direct = rep.subset, rep.multiplicity
+        for s, direct in enumerate(arr.reports()[1]):
             via_conj = multiplicity_via_conj_transpose(arr, s)
             assert direct == multiplicity_via_order_basis(arr, s)
             assert direct == via_conj
             # The stacked identity coker-xcheck reads its conjugate leg from.
-            assert supersets[e ^ s].multiplicity == via_conj
+            assert supersets_m[e ^ s] == via_conj
 
 
 def test_single_divisor_multiplicity_is_the_norm():
@@ -172,7 +170,7 @@ def test_single_divisor_multiplicity_is_the_norm():
     for arr in points_corpus(20, seed=53):
         for i in range(arr.k):
             entry = arr.matrix.entry(i, 0)
-            assert arr.subset_report(1 << i).multiplicity == entry.norm()
+            assert arr.subset_report(1 << i)[1] == entry.norm()
             block = expand_lambda(row_select(arr.matrix, [i]))
             assert minor_rank_and_torsion(block) == (2, entry.norm())
 
@@ -202,6 +200,11 @@ def _count_superset_walks(monkeypatch) -> list[int]:
     return calls
 
 
+def _slow_tables(arr: EllipticArrangement, subsets) -> tuple[tuple[int, ...], ...]:
+    """The (rk, m) tables of `subsets`, one Smith form each."""
+    return tuple(zip(*(arr.subset_report(s) for s in subsets)))
+
+
 def test_reports_are_memoized(monkeypatch):
     calls = _count_smith_forms(monkeypatch)
     arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
@@ -210,23 +213,21 @@ def test_reports_are_memoized(monkeypatch):
     table = arr.reports()
     assert table is arr.reports()
     assert calls[0] == after_tabulation
-    assert [rep.subset for rep in table] == list(range(1 << arr.k))
-    assert matroid.m == tuple(rep.multiplicity for rep in table)
+    assert len(table[0]) == len(table[1]) == 1 << arr.k
+    assert (matroid.rk, matroid.m) == table
     # The walk runs a Smith form on each non-empty rank-deficient subset
     # and on nothing else.
-    deficient = sum(1 for rep in table if rep.subset and rep.rank < arr.n)
+    deficient = sum(1 for s, r in enumerate(table[0]) if s and r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
     # coker-xcheck reads its order-basis leg off one walk of the R-basis
     # expansion and its conjugate leg off one walk of the stacked
     # arrangement; each runs a Smith form on its own rank-deficient
     # subsets, and dual shares the stacked walk.
     order_deficient = sum(
-        1 for rep in arr.order_basis_reports() if rep.subset and rep.rank < arr.n
+        1 for s, r in enumerate(arr.order_basis_reports()[0]) if s and r < arr.n
     )
     stacked, t_mask = dual_arrangement(arr)
-    stacked_deficient = sum(
-        1 for rep in stacked.superset_reports(t_mask) if 0 < rep.rank < arr.k
-    )
+    stacked_deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
     before = calls[0]
     walks = _count_superset_walks(monkeypatch)
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
@@ -236,8 +237,7 @@ def test_reports_are_memoized(monkeypatch):
     assert both == {"dual": (), "coker-xcheck": ()}
     assert calls[0] - before == 2 * (order_deficient + stacked_deficient)
     assert walks[0] == 2
-    fresh = arr.subset_report(3)
-    assert fresh == table[3] and fresh is not table[3]
+    assert arr.subset_report(3) == (table[0][3], table[1][3])
 
 
 def _walk_cases() -> list[EllipticArrangement]:
@@ -280,20 +280,20 @@ def _walk_cases() -> list[EllipticArrangement]:
 def test_walk_matches_subset_report():
     cases = _walk_cases()
     for arr in cases:
-        assert arr.reports() == tuple(arr.subset_report(s) for s in range(1 << arr.k))
-    assert cases[-1].reports()[-1].rank == 2
+        assert arr.reports() == _slow_tables(arr, range(1 << arr.k))
+    assert cases[-1].reports()[0][-1] == 2
 
 
 def test_dual_walk_matches_per_subset_reports(monkeypatch):
     for arr in _walk_cases():
         stacked, t_mask = dual_arrangement(arr)
         walked = stacked.superset_reports(t_mask)
-        assert walked == tuple(stacked.subset_report(s | t_mask) for s in range(1 << arr.k))
+        assert walked == _slow_tables(stacked, (s | t_mask for s in range(1 << arr.k)))
     calls = _count_smith_forms(monkeypatch)
     arr = random_arrangement(k=6, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=4)
     matroid = from_arrangement(arr)
     stacked, t_mask = dual_arrangement(arr)
-    deficient = sum(1 for rep in stacked.superset_reports(t_mask) if 0 < rep.rank < arr.k)
+    deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
     before = calls[0]
     assert check_axioms(matroid, ("dual",), arr) == {"dual": ()}
     # Only the rank-deficient supersets of T take a Smith form.
@@ -335,21 +335,21 @@ def _arrangement_and_mask(draw) -> tuple[EllipticArrangement, int]:
 @given(_arrangement_and_mask())
 def test_walk_agrees_with_subset_report(case):
     arr, fixed = case
-    assert arr.reports() == tuple(arr.subset_report(s) for s in range(1 << arr.k))
+    assert arr.reports() == _slow_tables(arr, range(1 << arr.k))
     free = [j for j in range(arr.k) if not fixed >> j & 1]
     wide = [
         fixed | sum(1 << j for i, j in enumerate(free) if s >> i & 1)
         for s in range(1 << len(free))
     ]
-    assert arr.superset_reports(fixed) == tuple(arr.subset_report(s) for s in wide)
-    assert [rep.multiplicity for rep in arr.order_basis_reports()] == [
+    assert arr.superset_reports(fixed) == _slow_tables(arr, wide)
+    assert list(arr.order_basis_reports()[1]) == [
         multiplicity_via_order_basis(arr, s) for s in range(1 << arr.k)
     ]
     # The stacked-dual identity: the walk of (I_k over A^H) over the supersets
     # of T has at E - S the multiplicity of the conjugate transpose of rows S.
     stacked, t_mask = dual_arrangement(arr)
-    supersets, e = stacked.superset_reports(t_mask), (1 << arr.k) - 1
-    assert [supersets[e ^ s].multiplicity for s in range(e + 1)] == [
+    supersets_m, e = stacked.superset_reports(t_mask)[1], (1 << arr.k) - 1
+    assert [supersets_m[e ^ s] for s in range(e + 1)] == [
         multiplicity_via_conj_transpose(arr, s) for s in range(e + 1)
     ]
 

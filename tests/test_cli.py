@@ -118,6 +118,14 @@ def test_verify_selected_axioms_json(sqrt3_file, capsys):
     assert doc["ok"] is True
 
 
+def test_verify_repeated_axiom_runs_once(sqrt3_file, capsys):
+    for extra in ((), ("--json",)):
+        repeated = run_cli(capsys, "verify", sqrt3_file, "--axioms", "p,p,a1", *extra)
+        assert repeated == run_cli(capsys, "verify", sqrt3_file, "--axioms", "p,a1", *extra)
+    doc = json.loads(repeated[1])
+    assert [c["name"] for c in doc["checks"]] == ["rank", "p", "a1", "p-equivalence"]
+
+
 def test_verify_exit_code_on_violation(sqrt3_file, capsys, monkeypatch):
     from ellmat.matroid import Violation
 

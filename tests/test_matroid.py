@@ -16,12 +16,11 @@ from ellmat import (
     format_subset,
     from_arrangement,
     gcd_property,
-    poly_eval,
     poly_str,
     random_arrangement,
     tutte,
 )
-from ellmat.matroid import MAX_GROUND
+from ellmat.matroid import MAX_GROUND, poly_eval
 from support import (
     arrangement_corpus,
     curve_sqrt3,

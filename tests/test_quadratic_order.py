@@ -4,7 +4,6 @@ from math import gcd, isqrt
 import pytest
 
 from ellmat import (
-    IntQuadratic,
     ParameterError,
     RingElement,
     generator,
@@ -12,8 +11,8 @@ from ellmat import (
     make_curve,
     make_field,
     min_poly,
-    scalar,
 )
+from ellmat.quadratic_order import IntQuadratic, scalar
 from support import (
     curve_half_i,
     curve_omega3,
