@@ -19,19 +19,45 @@ subset is visited once.  The walk carries an echelon basis of the row
 lattice L(S) in Z^2n spanned by the selected expansion rows, and a step
 inserts the two expansion rows of divisor j by unimodular extended-gcd
 row operations.  The torsion of the cokernel depends on that lattice
-alone, so:
+alone, and so does the rest of the subtree below S, which sees L(S)
+only through the quotient Z^2n/L(S).
 
-- a full-rank basis (2n rows) has m(S) = |product of its pivots|, the
-  index of L(S) in Z^2n, with no Smith form;
-- a rank-deficient basis (fewer rows) gets a Smith form of at most 2n
-  rows, as does every basis of index other than 1 for the torsion
-  chains, which only `torsion_chains` computes.
+The walk shrinks that quotient to the columns that can still carry
+something.  Let U be the columns of the unit pivots (+-1) of the basis
+and N the other w columns.  Eliminating the columns of U in ascending
+order, with the unit rows, takes each v in Z^2n to a vector on N
+congruent to v mod L(S): the unit row of column u is zero left of u, so
+a later elimination never refills an earlier column.  This map phi is
+linear and onto Z^w, and its kernel is the span of the unit rows, so for
+L(S) and for every lattice L above it
 
-Below a full-rank node of determinant D, inserted rows and the entries
-right of each updated pivot are reduced mod D, pivots never (Domich,
-Kannan & Trotter, Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2).  This is
-sound because every later pivot divides the one it replaces, so their
-product divides D and D Z^2n stays inside the new lattice.
+    Z^2n/L  =~  Z^w/phi(L),    rank L = |U| + rank phi(L),
+
+where phi(L) is spanned by the images of the rows of L.  So at a node
+with unit pivots and at least two divisors left, the walk carries the
+other basis rows and the expansion rows still to insert to Z^w once, and
+walks the subtree there; a node's rank counts the unit pivots projected
+away.  Isomorphic quotients have the same torsion, so the multiplicities
+and the invariant factors above 1 that `torsion_chains` reads are
+unchanged.  Then, in the current coordinates:
+
+- a full-rank basis (as many rows as columns) has m(S) = |product of its
+  pivots|, the index of L(S), with no Smith form;
+- a rank-deficient basis gets a Smith form of its at most 2n rows, as
+  does every basis of index other than 1 for the torsion chains, which
+  only `torsion_chains` computes; an empty one has m(S) = 1.
+
+Below a full-rank node of index D, inserted rows and the entries right
+of each updated pivot are reduced mod D, pivots never (Domich, Kannan &
+Trotter, Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2).  This is sound
+because every later pivot divides the one it replaces, so their product
+divides D and D Z^w stays inside the new lattice.  A projection at such
+a node keeps its t non-unit pivot columns and may reduce mod D too:
+phi(L(S)) has index D in Z^t, so it contains D Z^t, and the images of
+the non-unit rows, still triangular on the same pivots, span it also
+after their other entries are reduced mod D.  The pivots are kept, since
+one can be D itself.  At D = 1 the quotient is trivial, and every subset
+of the subtree has rank n and multiplicity 1 with no arithmetic at all.
 
 Every walk returns the pair (rk, m) of int tuples, the rank and the
 multiplicity of each subset it visits, the shape `ArithmeticMatroid`
@@ -47,7 +73,7 @@ against.
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 from typing import Iterator
 
 from .linalg import (
@@ -65,14 +91,11 @@ Tables = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a != 0."""
-    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a not dividing b."""
+    g = gcd(a, b)
+    # a does not divide b, so |a/g| >= 2 and b/g is invertible modulo it.
+    t = pow(b // g, -1, abs(a // g))
+    return g, (g - t * b) // a, t
 
 
 def _insert(basis: list, v: list[int], det: int) -> None:
@@ -80,8 +103,8 @@ def _insert(basis: list, v: list[int], det: int) -> None:
 
     basis[c] is the row whose first nonzero entry, its pivot, is in column
     c, or None.  Rows are replaced, never mutated, so a copied basis list
-    shares them safely.  det > 0 is the determinant of a full-rank
-    ancestor: entries are then reduced mod det, pivots excepted.
+    shares them safely.  det > 0 is the index of the full-rank lattice the
+    basis spans: entries are then reduced mod det, pivots excepted.
     """
     if det:
         v = [e % det for e in v]
@@ -107,6 +130,36 @@ def _insert(basis: list, v: list[int], det: int) -> None:
             basis[c] = row
         if det:
             v = [e % det for e in v]
+
+
+def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
+    """The echelon `basis` and the row `pairs` still to insert, carried to
+    Z^w, w the number of columns without a unit pivot.
+
+    The unit-pivot columns are eliminated in ascending order, from the other
+    basis rows and from the pairs, and the other w columns are kept, mod det
+    when det > 0 is the index of a full-rank basis.  The pivots themselves
+    are restored, since one can equal det.
+    """
+    units = [(c, b) for c, b in enumerate(basis) if b is not None and b[c] in (1, -1)]
+    keep = [c for c, b in enumerate(basis) if b is None or b[c] not in (1, -1)]
+
+    def project(v: list[int]) -> list[int]:
+        for c, b in units:
+            if v[c]:
+                q = v[c] * b[c]
+                v = [vi - q * bi for vi, bi in zip(v, b)]
+        return [v[c] % det for c in keep] if det else [v[c] for c in keep]
+
+    projected: list = []
+    for i, c in enumerate(keep):
+        b = basis[c]
+        if b is not None:
+            row = project(b)
+            row[i] = b[c]
+            b = row
+        projected.append(b)
+    return projected, [(project(top), project(bottom)) for top, bottom in pairs]
 
 
 class EllipticArrangement:
@@ -143,49 +196,60 @@ class EllipticArrangement:
             raise AssertionError("lattice expansions of order maps have even rank")
         return snf.rank // 2, prod(snf.invariant_factors)
 
-    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, list, int]]:
+    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, int, list, int]]:
         """The echelon walk of the 2k `expansion` rows over the subsets
         containing `fixed`.
 
-        Yields (narrow, rows, det) once per subset: `narrow` is the bitmask
-        of the subset's divisors outside `fixed`, renumbered in ascending
-        order, so the subset itself when `fixed` is 0; `rows` is an echelon
-        basis of the selected row lattice; `det` is its index in Z^2n when
-        it has full rank, else 0.
+        Yields (narrow, rk, rows, det) once per subset: `narrow` is the
+        bitmask of the subset's divisors outside `fixed`, renumbered in
+        ascending order, so the subset itself when `fixed` is 0; `rk` is its
+        rank; `rows` is an echelon basis of its row lattice in Z^2n or, below
+        a projected node, of the image of that lattice in the node's quotient
+        coordinates Z^w, so it can have fewer than 2*rk rows; `det` is the
+        lattice's index when it has full rank n, else 0.
         """
-        cols = 2 * self.n
-        free = [j for j in range(self.k) if not fixed >> j & 1]
+        n, k = self.n, self.k
+        pairs = [(expansion[j], expansion[k + j]) for j in range(k) if not fixed >> j & 1]
 
-        def grow(basis: list, j: int, det: int) -> list:
-            basis = basis.copy()
-            _insert(basis, expansion[j], det)
-            _insert(basis, expansion[self.k + j], det)
-            return basis
-
-        def rec(narrow: int, start: int, basis: list) -> Iterator:
+        def rec(narrow: int, bit: int, basis: list, pairs: list) -> Iterator:
             rows = [b for b in basis if b is not None]
-            if len(rows) % 2:
+            # Every column projected away held a unit pivot.
+            rank2 = 2 * n - len(basis) + len(rows)
+            if rank2 % 2:
                 raise AssertionError("lattice expansions of order maps have even rank")
-            det = abs(prod(b[c] for c, b in enumerate(basis))) if len(rows) == cols else 0
-            yield narrow, rows, det
-            for i in range(start, len(free)):
-                yield from rec(narrow | 1 << i, i + 1, grow(basis, free[i], det))
+            det = abs(prod(b[c] for c, b in enumerate(basis))) if rank2 == 2 * n else 0
+            yield narrow, rank2 // 2, rows, det
+            if det == 1:
+                # The quotient is trivial here, so it is at every superset.
+                for sub in range(1, 1 << len(pairs)):
+                    yield narrow | sub << bit, n, [], 1
+                return
+            if len(pairs) >= 2 and any(
+                b is not None and b[c] in (1, -1) for c, b in enumerate(basis)
+            ):
+                basis, pairs = _project(basis, pairs, det)
+            for i, (top, bottom) in enumerate(pairs):
+                child = basis.copy()
+                _insert(child, top, det)
+                _insert(child, bottom, det)
+                yield from rec(narrow | 1 << bit + i, bit + i + 1, child, pairs[i + 1 :])
 
-        root: list = [None] * cols
-        for j in range(self.k):
+        root: list = [None] * (2 * n)
+        for j in range(k):
             if fixed >> j & 1:
-                root = grow(root, j, 0)
-        return rec(0, 0, root)
+                _insert(root, expansion[j], 0)
+                _insert(root, expansion[k + j], 0)
+        return rec(0, 0, root, pairs)
 
     def _tabulate(self, expansion: list[list[int]], fixed: int) -> Tables:
         """`superset_reports(fixed)` computed from the 2k `expansion` rows."""
         size = 1 << (self.k - fixed.bit_count())
         rk, m = [0] * size, [1] * size
-        for narrow, rows, det in self._walk(expansion, fixed):
+        for narrow, r, rows, det in self._walk(expansion, fixed):
             if rows and not det:
                 det = prod(smith_form(rows).invariant_factors)
-            # An empty basis, rank 0, has trivial torsion.
-            rk[narrow], m[narrow] = len(rows) // 2, det or 1
+            # An empty basis leaves a free quotient, without torsion.
+            rk[narrow], m[narrow] = r, det or 1
         return tuple(rk), tuple(m)
 
     def superset_reports(self, fixed: int) -> Tables:
@@ -214,7 +278,7 @@ class EllipticArrangement:
         """The invariant factors above 1 of each subset's cokernel torsion,
         in ascending bitmask order, computed afresh by the same walk."""
         chains: list = [()] * (1 << self.k)
-        for subset, rows, det in self._walk(self._expansion_rows):
+        for subset, _, rows, det in self._walk(self._expansion_rows):
             # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
             if det != 1:
                 chains[subset] = smith_form(rows).torsion_invariants

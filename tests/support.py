@@ -135,6 +135,18 @@ def points_corpus(count: int = 50, seed: int = 73) -> tuple[EllipticArrangement,
     return tuple(out)
 
 
+def xgcd_by_euclid(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a != 0, by the
+    extended Euclidean loop."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (r0, s0, t0) if r0 > 0 else (-r0, -s0, -t0)
+
+
 def det_int(rows: list[list[int]]) -> int:
     """Determinant by Laplace expansion; exact, for small matrices only."""
     size = len(rows)

@@ -1,4 +1,5 @@
 import ast
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from ellmat import (
 )
 from ellmat.linalg import SmithForm
 from ellmat.quadratic_order import RingElement, scalar
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
     arrangement_corpus,
@@ -35,6 +36,7 @@ from support import (
     new_realization_omega,
     new_realization_sqrt3,
     points_corpus,
+    xgcd_by_euclid,
 )
 
 
@@ -308,6 +310,61 @@ def test_torsion_chains_match_smith_form():
             assert chains[s] == smith_form(block).torsion_invariants
 
 
+def _count_projections(monkeypatch) -> list[int]:
+    """The index of every node the walk projects at, 0 when rank-deficient."""
+    calls: list[int] = []
+    original = ellmat.arrangement._project
+
+    def counted(basis, pairs, det):
+        calls.append(det)
+        return original(basis, pairs, det)
+
+    monkeypatch.setattr(ellmat.arrangement, "_project", counted)
+    return calls
+
+
+def _fills(arr: EllipticArrangement) -> int:
+    """The subsets the walk fills in below an index-1 node without a basis."""
+    return sum(1 for _, _, rows, det in arr._walk(arr._expansion_rows) if det == 1 and not rows)
+
+
+def test_walk_takes_both_quotient_branches(monkeypatch):
+    projections = _count_projections(monkeypatch)
+    assert sum(_fills(arr) for arr in arrangement_corpus(200)) > 0
+    # Both below a full-rank node and below a rank-deficient one.
+    assert 0 in projections and max(projections) > 1
+    # The big-entry N=9 walks project at both kinds of node; one of them
+    # also reaches index 1.
+    fills = 0
+    for seed in (1, 2, 3):
+        projections.clear()
+        fills += _fills(random_arrangement(k=8, n=4, m=2, a=0, b=1, c=3, bound=10**6, seed=seed))
+        assert 0 in projections and max(projections) > 1
+    assert fills > 0
+
+
+def test_walk_edge_cases_of_the_quotient():
+    gauss = curve_gauss()
+    # n = 0: the root's empty basis has full rank and index 1, so its
+    # subtree is filled in.
+    no_columns = EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ())))
+    assert list(no_columns._walk(no_columns._expansion_rows)) == [
+        (s, 0, [], 1) for s in range(8)
+    ]
+    assert no_columns.reports() == ((0,) * 8, (1,) * 8)
+    nothing = EllipticArrangement(RingMatrix(gauss, 0, 0, ()))
+    assert list(nothing._walk(nothing._expansion_rows)) == [(0, 0, [], 1)]
+    # k = 0 in the plane: the root is rank-deficient and has no children.
+    no_rows = EllipticArrangement(RingMatrix(gauss, 0, 2, ()))
+    assert list(no_rows._walk(no_rows._expansion_rows)) == [(0, 0, [], 0)]
+    assert no_rows.torsion_chains() == ((),)
+    # A unit divisor makes L = Z^2 at once; the second subset is filled in.
+    unit = EllipticArrangement(RingMatrix.from_pairs(gauss, [[(1, 0)], [(3, 1)]]))
+    walk = list(unit._walk(unit._expansion_rows))
+    assert [(s, r, det) for s, r, _, det in walk] == [(0, 0, 0), (1, 1, 1), (3, 1, 1), (2, 1, 10)]
+    assert walk[2][2] == []
+
+
 def test_walk_raises_on_odd_rank():
     arr = new_realization_sqrt3()
     arr._expansion_rows[arr.k] = [0] * (2 * arr.n)
@@ -352,6 +409,20 @@ def test_walk_agrees_with_subset_report(case):
     assert [supersets_m[e ^ s] for s in range(e + 1)] == [
         multiplicity_via_conj_transpose(arr, s) for s in range(e + 1)
     ]
+
+
+_BIG = st.integers(-(2**200), 2**200)
+_SMALL = st.integers(-12, 12)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(st.just(1), _SMALL, _BIG), st.one_of(_SMALL, _BIG), st.one_of(_SMALL, _BIG))
+def test_xgcd_matches_euclid(common, x, y):
+    a, b = common * x, common * y
+    assume(a != 0 and b % a)
+    g, s, t = ellmat.arrangement._xgcd(a, b)
+    assert g == xgcd_by_euclid(a, b)[0] == gcd(a, b) > 0
+    assert s * a + t * b == g
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
