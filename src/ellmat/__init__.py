@@ -12,8 +12,6 @@ from .quadratic_order import (
     CurveParams,
     FieldParams,
     ParameterError,
-    RingElement,
-    generator,
     is_square_free,
     make_curve,
     make_field,

@@ -109,7 +109,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     essential = matroid.full_rank == arr.n
     t_poly = tutte(matroid)
     chi = char_poly(matroid)
-    euler = euler_characteristic(matroid, arr.n, essential)
+    euler = euler_characteristic(matroid, arr.n)
     holds, witness = gcd_property(matroid)
     verdicts = check_axioms(matroid, AXIOMS)
     chains = arr.torsion_chains()
@@ -205,7 +205,7 @@ def cmd_euler(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
     essential = matroid.full_rank == arr.n
-    print(euler_characteristic(matroid, arr.n, essential))
+    print(euler_characteristic(matroid, arr.n))
     if not essential:
         print(
             f"note: non-essential arrangement (rank {matroid.full_rank} < ambient {arr.n}); "
@@ -278,6 +278,8 @@ def cmd_random(args: argparse.Namespace) -> int:
 def _axioms_list(text: str) -> list[str]:
     """The check names of a comma list, each once, in the order first named."""
     names = list(dict.fromkeys(p.strip() for p in text.split(",") if p.strip()))
+    if not names:
+        raise argparse.ArgumentTypeError("empty check list")
     for name in names:
         if name not in AXIOM_CHOICES:
             raise argparse.ArgumentTypeError(

@@ -120,7 +120,7 @@ def _document_of(curve: CurveParams, matrix: RingMatrix) -> dict:
         "matrix": {
             "rows": matrix.k,
             "cols": matrix.n,
-            "entries": [[[e.x, e.y] for e in row] for row in matrix.entries],
+            "entries": [[[x, y] for x, y in row] for row in matrix.entries],
         },
     }
 

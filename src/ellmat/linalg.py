@@ -9,9 +9,10 @@ and d = delta_prime (so norm(w) = N*d), the two actions have block forms
     on R-coordinates:  [[X, -Y*d*N], [Y,  X + Y*s]]
 
 Rows and columns are blocked: all first coordinates precede all second
-coordinates, each block in ascending original index order.  Integer
-matrices are plain lists of rows, so the expansions, the echelon bases of
-`arrangement` and the Smith form all share one shape.
+coordinates, each block in ascending original index order.  An entry of A
+is a plain (x, y) pair of ints meaning x + y*w, and integer matrices are
+plain lists of rows, so the expansions, the echelon bases of `arrangement`
+and the Smith form all share one shape.
 
 Smith normal form is computed by elimination with the smallest-magnitude
 pivot, entirely over Python integers.  Matrices here stay small: the
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .quadratic_order import CurveParams, ParameterError, RingElement
+from .quadratic_order import CurveParams, ParameterError
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,12 @@ def smith_form(matrix: list[list[int]]) -> SmithForm:
 
 @dataclass(frozen=True)
 class RingMatrix:
-    """k x n matrix of order elements, all over one curve."""
+    """k x n matrix over the order R of `curve`; entry (x, y) is x + y*N*tau."""
 
     curve: CurveParams
     k: int
     n: int
-    entries: tuple[tuple[RingElement, ...], ...]
+    entries: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.k:
@@ -141,18 +142,13 @@ class RingMatrix:
         for row in self.entries:
             if len(row) != self.n:
                 raise ParameterError("column count mismatch")
-            for e in row:
-                if e.curve != self.curve:
-                    raise ParameterError("matrix entries live over different curves")
 
     @classmethod
     def from_pairs(
         cls, curve: CurveParams, pairs: Iterable[Iterable[tuple[int, int]]], cols: int | None = None
     ) -> "RingMatrix":
         """Build from rows of (x, y) coordinate pairs over the basis {1, N*tau}."""
-        rows = [
-            tuple(RingElement(curve, int(x), int(y)) for x, y in row) for row in pairs
-        ]
+        rows = [tuple((int(x), int(y)) for x, y in row) for row in pairs]
         if rows:
             width = len(rows[0])
         else:
@@ -162,13 +158,9 @@ class RingMatrix:
     @classmethod
     def identity(cls, curve: CurveParams, k: int) -> "RingMatrix":
         rows = tuple(
-            tuple(RingElement(curve, 1 if i == j else 0, 0) for j in range(k))
-            for i in range(k)
+            tuple((1 if i == j else 0, 0) for j in range(k)) for i in range(k)
         )
         return cls(curve, k, k, rows)
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
 
 
 def expand_lambda(a: RingMatrix) -> list[list[int]]:
@@ -178,10 +170,10 @@ def expand_lambda(a: RingMatrix) -> list[list[int]]:
     d = cv.delta_prime
     big_n = cv.N
     top = [
-        [e.x for e in row] + [-d * e.y for e in row] for row in a.entries
+        [x for x, _ in row] + [-d * y for _, y in row] for row in a.entries
     ]
     bottom = [
-        [big_n * e.y for e in row] + [e.x + s * e.y for e in row] for row in a.entries
+        [big_n * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries
     ]
     return top + bottom
 
@@ -192,19 +184,20 @@ def expand_order(a: RingMatrix) -> list[list[int]]:
     s = cv.gen_trace
     dn = cv.delta_prime * cv.N
     top = [
-        [e.x for e in row] + [-dn * e.y for e in row] for row in a.entries
+        [x for x, _ in row] + [-dn * y for _, y in row] for row in a.entries
     ]
     bottom = [
-        [e.y for e in row] + [e.x + s * e.y for e in row] for row in a.entries
+        [y for _, y in row] + [x + s * y for x, y in row] for row in a.entries
     ]
     return top + bottom
 
 
 def conj_transpose(a: RingMatrix) -> RingMatrix:
     """Entrywise conjugate of the transpose; involutive."""
-    rows = tuple(
-        tuple(a.entry(i, j).conj() for i in range(a.k)) for j in range(a.n)
-    )
+    s = a.curve.gen_trace
+    # The conjugate of w = N*tau is gen_trace - w, so x + y*w maps to (x + s*y) - y*w.
+    conj = [[(x + s * y, -y) for x, y in row] for row in a.entries]
+    rows = tuple(tuple(row[j] for row in conj) for j in range(a.n))
     return RingMatrix(a.curve, a.n, a.k, rows)
 
 

@@ -478,9 +478,7 @@ def poly_eval(coeffs: tuple[int, ...], value: int) -> int:
     return out
 
 
-def euler_characteristic(
-    matroid: ArithmeticMatroid, ambient_n: int, essential: bool
-) -> int:
+def euler_characteristic(matroid: ArithmeticMatroid, ambient_n: int) -> int:
     """Euler characteristic of the arrangement complement in E^ambient_n.
 
     For an essential arrangement (full rank equal to ambient_n) this is
@@ -488,14 +486,10 @@ def euler_characteristic(
     dimensional abelian factor and has Euler characteristic 0.
     """
     r = matroid.full_rank
-    if essential:
-        if r != ambient_n:
-            raise ParameterError(
-                f"essential arrangement must have rank {ambient_n}, got {r}"
-            )
-        value = tutte(matroid).evaluate(1, 0)
-        return -value if r & 1 else value
-    return 0
+    if r != ambient_n:
+        return 0
+    value = tutte(matroid).evaluate(1, 0)
+    return -value if r & 1 else value
 
 
 def e2_poincare(matroid: ArithmeticMatroid, ambient_n: int | None = None) -> BiPoly:

@@ -1,4 +1,4 @@
-"""Exact arithmetic in imaginary quadratic orders attached to a lattice.
+"""Imaginary quadratic orders attached to a lattice, as exact integer constants.
 
 A lattice L = <1, tau> with tau = (a + b*omega)/c non-real determines the
 multiplier ring R = {z : z*L inside L}, which is an order in the imaginary
@@ -19,7 +19,7 @@ from typing import Iterable
 
 
 class ParameterError(ValueError):
-    """Invalid field, curve, or element parameters."""
+    """Invalid field, curve, matrix or table parameters."""
 
 
 # make_field refuses m at or above this, so is_square_free needs at most
@@ -221,93 +221,3 @@ def min_poly(curve: CurveParams) -> IntQuadratic:
     its content is 1 by the coprimality checked at curve construction.
     """
     return IntQuadratic(curve.N, -curve.gen_trace, curve.delta_prime)
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """Element x + y*w of the order R, in the basis {1, w} with w = N*tau.
-
-    The basis element satisfies w^2 = gen_trace*w - gen_norm, which is all
-    multiplication needs.  Elements are immutable; arithmetic on elements
-    over different curves is rejected.
-    """
-
-    curve: CurveParams
-    x: int
-    y: int
-
-    def _same_curve(self, other: "RingElement") -> None:
-        if self.curve != other.curve:
-            raise ParameterError("operands live over different curves")
-
-    def __add__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._same_curve(other)
-        return RingElement(self.curve, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._same_curve(other)
-        return RingElement(self.curve, self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.curve, -self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElement(self.curve, self.x * other, self.y * other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        self._same_curve(other)
-        t = self.curve.gen_trace
-        nn = self.curve.gen_norm
-        yy = self.y * other.y
-        return RingElement(
-            self.curve,
-            self.x * other.x - nn * yy,
-            self.x * other.y + self.y * other.x + t * yy,
-        )
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def conj(self) -> "RingElement":
-        """Image under the nontrivial field automorphism, in the same basis.
-
-        The conjugate of w = N*tau is gen_trace - w (sum of the roots of the
-        minimal polynomial), so R is closed under conjugation.
-        """
-        return RingElement(self.curve, self.x + self.curve.gen_trace * self.y, -self.y)
-
-    def norm(self) -> int:
-        """The rational integer self * conj(self); positive unless self = 0."""
-        return (
-            self.x * self.x
-            + self.curve.gen_trace * self.x * self.y
-            + self.curve.gen_norm * self.y * self.y
-        )
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def __str__(self) -> str:
-        if self.y == 0:
-            return str(self.x)
-        w = "w" if self.y == 1 else ("-w" if self.y == -1 else f"{self.y}*w")
-        if self.x == 0:
-            return w
-        sign = "+" if self.y > 0 else "-"
-        mag = abs(self.y)
-        return f"{self.x} {sign} {mag}*w" if mag != 1 else f"{self.x} {sign} w"
-
-
-def scalar(curve: CurveParams, value: int) -> RingElement:
-    """The rational integer `value` as an element of R."""
-    return RingElement(curve, value, 0)
-
-
-def generator(curve: CurveParams) -> RingElement:
-    """The basis element w = N*tau of R."""
-    return RingElement(curve, 0, 1)

@@ -243,11 +243,17 @@ def union_point_count(matroid) -> int:
     return total
 
 
-def _ring_mul(curve, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+def ring_mul(curve, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Product of x + y*w pairs in R = <1, w>, from w^2 = gen_trace*w - gen_norm."""
     (a, b), (c, d) = u, v
     bd = b * d
     return (a * c - curve.gen_norm * bd, a * d + b * c + curve.gen_trace * bd)
+
+
+def ring_norm(curve, u: tuple[int, int]) -> int:
+    """The rational integer u * conj(u) of the pair u = x + y*w."""
+    x, y = u
+    return x * x + curve.gen_trace * x * y + curve.gen_norm * y * y
 
 
 def _ring_det(curve, rows: list[list[tuple[int, int]]]) -> tuple[int, int]:
@@ -256,7 +262,7 @@ def _ring_det(curve, rows: list[list[tuple[int, int]]]) -> tuple[int, int]:
     for perm in permutations(range(len(rows))):
         term = (1, 0)
         for i, j in enumerate(perm):
-            term = _ring_mul(curve, term, rows[i][j])
+            term = ring_mul(curve, term, rows[i][j])
         inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
         sign = -1 if inversions & 1 else 1
         x_sum += sign * term[0]
@@ -272,7 +278,7 @@ def ideal_index(curve, generators) -> int:
     """
     span = []
     for g in generators:
-        span += [g, _ring_mul(curve, g, (0, 1))]
+        span += [g, ring_mul(curve, g, (0, 1))]
     index = 0
     for (a, b), (c, d) in combinations(span, 2):
         index = gcd(index, a * d - b * c)

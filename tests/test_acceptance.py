@@ -192,8 +192,7 @@ def test_criterion_08_gcd_property_over_maximal_orders(capsys):
             continue
         checked += 1
         matroid = from_arrangement(arr)
-        pairs = [[(e.x, e.y) for e in row] for row in arr.matrix.entries]
-        ranks, indices, bases = ideal_gcd_oracle(arr.curve, pairs)
+        ranks, indices, bases = ideal_gcd_oracle(arr.curve, arr.matrix.entries)
         first = None
         for s in range(1 << arr.k):
             if (matroid.rk[s], matroid.m[s]) != (ranks[s], indices[s]):
@@ -227,7 +226,7 @@ def test_criterion_08_gcd_property_over_maximal_orders(capsys):
 def test_criterion_09_euler_characteristic(capsys):
     arr = new_realization_sqrt3()
     matroid = from_arrangement(arr)
-    euler = euler_characteristic(matroid, arr.n, matroid.full_rank == arr.n)
+    euler = euler_characteristic(matroid, arr.n)
     via_tutte = -tutte(matroid).evaluate(1, 0)
     via_char = poly_eval(char_poly(matroid), 0)
     via_points = -(4 + 4 - 2)
@@ -238,7 +237,7 @@ def test_criterion_09_euler_characteristic(capsys):
     for pts in corpus:
         m_pts = from_arrangement(pts)
         essential = m_pts.full_rank == pts.n
-        computed = euler_characteristic(m_pts, 1, essential)
+        computed = euler_characteristic(m_pts, 1)
         if not essential or computed != 0 - union_point_count(m_pts):
             corpus_bad += 1
     ok = fixture_ok and corpus_bad == 0 and len(corpus) == 50

@@ -147,6 +147,16 @@ def test_verify_rejects_unknown_axiom(sqrt3_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spelling", ["", " , "])
+def test_verify_rejects_empty_axiom_list(sqrt3_file, capsys, spelling):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", sqrt3_file, "--axioms", spelling])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "empty check list" in err
+
+
 def test_dual_command(sqrt3_file, tmp_path, capsys):
     out_path = tmp_path / "stacked.json"
     code, out, _ = run_cli(
