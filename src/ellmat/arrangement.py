@@ -61,14 +61,16 @@ of the subtree has rank n and multiplicity 1 with no arithmetic at all.
 
 Every walk returns the pair (rk, m) of int tuples, the rank and the
 multiplicity of each subset it visits, the shape `ArithmeticMatroid`
-takes.  `reports()` is the walk over all 2^k subsets in ascending bitmask
-order, computed once.  `superset_reports(fixed)` walks the subsets
+takes, and computes it afresh on every call: an arrangement caches no
+table and never changes.  `reports()` is the walk over all 2^k subsets in
+ascending bitmask order.  `superset_reports(fixed)` walks the subsets
 containing `fixed`, whose rows are inserted first as a shared prefix.
 `order_basis_reports()` walks the expansion over the R-basis {1, N*tau}
 instead, which gives the same multiplicities from a different integer
-matrix.  `subset_report(s)` recomputes (rank, multiplicity) of a single
-subset by its own Smith form; it is the slow path the walk is tested
-against.
+matrix.  `torsion_chains()` is the walk of `reports()` that also keeps
+the invariant factors above 1 of every subset, m(S) being their product.
+A walk over more than MAX_GROUND free divisors is refused when it is
+called, before any insertion.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ from .quadratic_order import ParameterError
 
 # The rank and the multiplicity tables of a run of subsets.
 Tables = tuple[tuple[int, ...], tuple[int, ...]]
+
+# The tables have 2^k entries and every verifier is exhaustive, so walks
+# over larger ground sets are refused.
+MAX_GROUND = 20
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -163,13 +169,12 @@ def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
 
 
 class EllipticArrangement:
-    """k divisors in E^n, with cached lattice expansion and subset table."""
+    """k divisors in E^n with their lattice expansion; every table is walked afresh."""
 
     def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
         self.curve = matrix.curve
         self._expansion_rows = expand_lambda(matrix)
-        self._table: Tables | None = None
 
     @property
     def k(self) -> int:
@@ -178,23 +183,6 @@ class EllipticArrangement:
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    def _check_subset(self, subset: int) -> None:
-        if not 0 <= subset < 1 << self.k:
-            raise ParameterError(
-                f"subset {subset:#x} out of range for {self.k} divisors"
-            )
-
-    def subset_report(self, subset: int) -> tuple[int, int]:
-        """(rank, multiplicity) of one subset, by its own Smith form."""
-        self._check_subset(subset)
-        idx = [i for i in range(self.k) if subset >> i & 1]
-        rows = [self._expansion_rows[i] for i in idx]
-        rows += [self._expansion_rows[self.k + i] for i in idx]
-        snf = smith_form(rows)
-        if snf.rank % 2:
-            raise AssertionError("lattice expansions of order maps have even rank")
-        return snf.rank // 2, prod(snf.invariant_factors)
 
     def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, int, list, int]]:
         """The echelon walk of the 2k `expansion` rows over the subsets
@@ -209,6 +197,9 @@ class EllipticArrangement:
         lattice's index when it has full rank n, else 0.
         """
         n, k = self.n, self.k
+        free = k - fixed.bit_count()
+        if free > MAX_GROUND:
+            raise ParameterError(f"ground set of {free} elements exceeds the cap of {MAX_GROUND}")
         pairs = [(expansion[j], expansion[k + j]) for j in range(k) if not fixed >> j & 1]
 
         def rec(narrow: int, bit: int, basis: list, pairs: list) -> Iterator:
@@ -243,9 +234,11 @@ class EllipticArrangement:
 
     def _tabulate(self, expansion: list[list[int]], fixed: int) -> Tables:
         """`superset_reports(fixed)` computed from the 2k `expansion` rows."""
+        # The call checks the cap before the tables are allocated.
+        walk = self._walk(expansion, fixed)
         size = 1 << (self.k - fixed.bit_count())
         rk, m = [0] * size, [1] * size
-        for narrow, r, rows, det in self._walk(expansion, fixed):
+        for narrow, r, rows, det in walk:
             if rows and not det:
                 det = prod(smith_form(rows).invariant_factors)
             # An empty basis leaves a free quotient, without torsion.
@@ -258,15 +251,13 @@ class EllipticArrangement:
         They come in the bitmask order of the divisors outside `fixed`, the
         order of the contraction by `fixed`.
         """
-        self._check_subset(fixed)
+        if not 0 <= fixed < 1 << self.k:
+            raise ParameterError(f"subset {fixed:#x} out of range for {self.k} divisors")
         return self._tabulate(self._expansion_rows, fixed)
 
     def reports(self) -> Tables:
-        """The (rk, m) tables of all subsets in ascending bitmask order,
-        tabulated on first call."""
-        if self._table is None:
-            self._table = self.superset_reports(0)
-        return self._table
+        """The (rk, m) tables of all subsets in ascending bitmask order."""
+        return self.superset_reports(0)
 
     def order_basis_reports(self) -> Tables:
         """The (rk, m) tables of all subsets recomputed afresh by the walk of
@@ -274,15 +265,18 @@ class EllipticArrangement:
         bitmask order."""
         return self._tabulate(expand_order(self.matrix), 0)
 
-    def torsion_chains(self) -> tuple[tuple[int, ...], ...]:
-        """The invariant factors above 1 of each subset's cokernel torsion,
-        in ascending bitmask order, computed afresh by the same walk."""
-        chains: list = [()] * (1 << self.k)
-        for subset, _, rows, det in self._walk(self._expansion_rows):
+    def torsion_chains(self) -> tuple[Tables, tuple[tuple[int, ...], ...]]:
+        """The (rk, m) tables of `reports()` and the invariant factors above 1
+        of each subset's cokernel torsion, in ascending bitmask order, from
+        one walk; m(S) is the product of the factors of S."""
+        walk = self._walk(self._expansion_rows)
+        rk, chains = [0] * (1 << self.k), [()] * (1 << self.k)
+        for subset, r, rows, det in walk:
+            rk[subset] = r
             # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
             if det != 1:
                 chains[subset] = smith_form(rows).torsion_invariants
-        return tuple(chains)
+        return (tuple(rk), tuple(map(prod, chains))), tuple(chains)
 
     def __repr__(self) -> str:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"

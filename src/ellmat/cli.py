@@ -82,7 +82,7 @@ def _torsion_str(invariants: tuple[int, ...]) -> str:
     return " | ".join(str(d) for d in invariants) if invariants else "-"
 
 
-def _subset_table(
+def _subset_rows(
     matroid: ArithmeticMatroid, n: int, chains: tuple[tuple[int, ...], ...]
 ) -> list[tuple[str, str, str, str, str]]:
     rows = [("subset", "rank", "layers", "dim", "torsion")]
@@ -94,7 +94,7 @@ def _subset_table(
     return rows
 
 
-def _print_table(rows: list[tuple[str, ...]]) -> None:
+def _print_rows(rows: list[tuple[str, ...]]) -> None:
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
     for r in rows:
         cells = [r[0].ljust(widths[0])]
@@ -105,14 +105,14 @@ def _print_table(rows: list[tuple[str, ...]]) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
-    matroid = from_arrangement(arr)
+    tables, chains = arr.torsion_chains()
+    matroid = ArithmeticMatroid(arr.k, *tables)
     essential = matroid.full_rank == arr.n
     t_poly = tutte(matroid)
     chi = char_poly(matroid)
     euler = euler_characteristic(matroid, arr.n)
     holds, witness = gcd_property(matroid)
     verdicts = check_axioms(matroid, AXIOMS)
-    chains = arr.torsion_chains()
 
     if args.json:
         doc = {
@@ -149,7 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"arrangement: {arr.k} divisors in E^{arr.n}")
     print(f"essential: {'yes' if essential else 'no'}")
     print()
-    _print_table(_subset_table(matroid, arr.n, chains))
+    _print_rows(_subset_rows(matroid, arr.n, chains))
     print()
     print(f"tutte polynomial: {t_poly.format('x', 'y')}")
     print(f"characteristic polynomial: {poly_str(chi, 't')}")
@@ -231,7 +231,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
     rows = [("subset", "rank*", "m*")]
     for s in range(1 << dual.size):
         rows.append((format_subset(s), str(dual.rk[s]), str(dual.m[s])))
-    _print_table(rows)
+    _print_rows(rows)
     stacked, t_mask = dual_arrangement(arr)
     print()
     print(

@@ -34,8 +34,8 @@ R-basis expansion of A at S and with the stacked walk at E - S.
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
 out of a single pass over the 3^k nested pairs [X, Y], with O(2^k)
-memory.  That is why arrangements of more than MAX_GROUND = 20 divisors
-are refused before any tabulation.
+memory.  That is why every walk of `arrangement` refuses more than its
+MAX_GROUND (20) free divisors before it tabulates anything.
 
 Subsets are bitmasks, bit i standing for element i+1.
 """
@@ -140,17 +140,8 @@ class ArithmeticMatroid:
         return ArithmeticMatroid(len(kept), tuple(rk), tuple(m))
 
 
-# The tables have 2^k entries and every verifier is exhaustive, so larger
-# ground sets are refused.
-MAX_GROUND = 20
-
-
 def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
-    """The arrangement's rank and multiplicity tables."""
-    if arr.k > MAX_GROUND:
-        raise ParameterError(
-            f"ground set of {arr.k} elements exceeds the cap of {MAX_GROUND}"
-        )
+    """The arrangement's rank and multiplicity tables, from one walk."""
     return ArithmeticMatroid(arr.k, *arr.reports())
 
 

@@ -192,6 +192,19 @@ def minor_rank_and_torsion(matrix: list[list[int]]) -> tuple[int, int]:
     return len(factors), prod(factors)
 
 
+def subset_report(arr: EllipticArrangement, subset: int) -> tuple[int, int]:
+    """(rank, multiplicity) of one subset, by its own Smith form.
+
+    The slow path the echelon walks of `EllipticArrangement` are tested
+    against.
+    """
+    rows = [i for i in range(arr.k) if subset >> i & 1]
+    snf = smith_form(expand_lambda(row_select(arr.matrix, rows)))
+    if snf.rank % 2:
+        raise AssertionError("lattice expansions of order maps have even rank")
+    return snf.rank // 2, prod(snf.invariant_factors)
+
+
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the R-basis expansion of the selected rows.
 

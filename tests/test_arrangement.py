@@ -1,11 +1,13 @@
 import ast
-from math import gcd
+import time
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
 import ellmat.arrangement
 import ellmat.linalg
+import support
 from ellmat import (
     ArithmeticMatroid,
     EllipticArrangement,
@@ -35,30 +37,31 @@ from support import (
     new_realization_omega,
     new_realization_sqrt3,
     points_corpus,
+    subset_report,
     xgcd_by_euclid,
 )
 
 
 def test_multiplicities_over_sqrt3():
     arr = new_realization_sqrt3()
-    assert [arr.subset_report(s)[1] for s in range(4)] == [1, 4, 4, 2]
+    assert [subset_report(arr, s)[1] for s in range(4)] == [1, 4, 4, 2]
 
 
 def test_multiplicities_over_maximal_order():
     arr = new_realization_omega()
-    assert [arr.subset_report(s)[1] for s in range(4)] == [1, 4, 4, 4]
+    assert [subset_report(arr, s)[1] for s in range(4)] == [1, 4, 4, 4]
 
 
 def test_ranks_and_layer_dimensions():
     arr = new_realization_sqrt3()
-    assert arr.subset_report(0)[0] == 0
-    assert arr.subset_report(0b11)[0] == 1
-    assert arr.n - arr.subset_report(0)[0] == 1
-    assert arr.n - arr.subset_report(0b11)[0] == 0
+    assert subset_report(arr, 0)[0] == 0
+    assert subset_report(arr, 0b11)[0] == 1
+    assert arr.n - subset_report(arr, 0)[0] == 1
+    assert arr.n - subset_report(arr, 0b11)[0] == 0
 
 
 def test_torsion_invariant_chains():
-    chains = new_realization_sqrt3().torsion_chains()
+    chains = new_realization_sqrt3().torsion_chains()[1]
     assert chains[0b11] == (2,)
     assert chains[0b01] == (2, 2)
     assert chains[0b10] == (4,)
@@ -66,12 +69,12 @@ def test_torsion_invariant_chains():
 
 
 def test_report_consistency():
-    arr = new_realization_sqrt3()
-    for multiplicity, chain in zip(arr.reports()[1], arr.torsion_chains(), strict=True):
-        product = 1
-        for d in chain:
-            product *= d
-        assert product == multiplicity
+    # analyze prints the tables and the chains of this one walk.
+    for arr in (new_realization_sqrt3(), *_walk_cases()):
+        tables, chains = arr.torsion_chains()
+        assert tables == arr.reports()
+        for multiplicity, chain in zip(tables[1], chains, strict=True):
+            assert prod(chain) == multiplicity
 
 
 def test_zero_rows_behave_as_loops():
@@ -79,7 +82,7 @@ def test_zero_rows_behave_as_loops():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve, [[(0, 0), (0, 0)], [(1, 0), (2, 1)]])
     )
-    rank, multiplicity = arr.subset_report(0b01)
+    rank, multiplicity = subset_report(arr, 0b01)
     assert rank == 0
     assert multiplicity == 1
     assert arr.n - rank == 2
@@ -88,9 +91,9 @@ def test_zero_rows_behave_as_loops():
 def test_subset_out_of_range():
     arr = new_realization_sqrt3()
     with pytest.raises(ParameterError):
-        arr.subset_report(4)
+        arr.superset_reports(4)
     with pytest.raises(ParameterError):
-        arr.subset_report(-1)
+        arr.superset_reports(-1)
 
 
 def _is_essential(arr: EllipticArrangement) -> bool:
@@ -113,7 +116,7 @@ def test_layer_dimension_single_row_in_e3():
     arr = EllipticArrangement(
         RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (0, 0), (0, 1)]])
     )
-    assert arr.n - arr.subset_report(0b1)[0] == 2
+    assert arr.n - subset_report(arr, 0b1)[0] == 2
 
 
 def test_dual_arrangement_structure():
@@ -167,7 +170,7 @@ def test_single_divisor_multiplicity_is_the_norm():
     for arr in points_corpus(20, seed=53):
         for i in range(arr.k):
             norm = ring_norm(arr.curve, arr.matrix.entries[i][0])
-            assert arr.subset_report(1 << i)[1] == norm
+            assert subset_report(arr, 1 << i)[1] == norm
             block = expand_lambda(row_select(arr.matrix, [i]))
             assert minor_rank_and_torsion(block) == (2, norm)
 
@@ -199,17 +202,15 @@ def _count_superset_walks(monkeypatch) -> list[int]:
 
 def _slow_tables(arr: EllipticArrangement, subsets) -> tuple[tuple[int, ...], ...]:
     """The (rk, m) tables of `subsets`, one Smith form each."""
-    return tuple(zip(*(arr.subset_report(s) for s in subsets)))
+    return tuple(zip(*(subset_report(arr, s) for s in subsets)))
 
 
-def test_reports_are_memoized(monkeypatch):
+def test_smith_forms_per_walk(monkeypatch):
     calls = _count_smith_forms(monkeypatch)
     arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
     matroid = from_arrangement(arr)
     after_tabulation = calls[0]
     table = arr.reports()
-    assert table is arr.reports()
-    assert calls[0] == after_tabulation
     assert len(table[0]) == len(table[1]) == 1 << arr.k
     assert (matroid.rk, matroid.m) == table
     # The walk runs a Smith form on each non-empty rank-deficient subset
@@ -234,7 +235,7 @@ def test_reports_are_memoized(monkeypatch):
     assert both == {"dual": (), "coker-xcheck": ()}
     assert calls[0] - before == 2 * (order_deficient + stacked_deficient)
     assert walks[0] == 2
-    assert arr.subset_report(3) == (table[0][3], table[1][3])
+    assert subset_report(arr, 3) == (table[0][3], table[1][3])
 
 
 def _walk_cases() -> list[EllipticArrangement]:
@@ -299,7 +300,7 @@ def test_dual_walk_matches_per_subset_reports(monkeypatch):
 
 def test_torsion_chains_match_smith_form():
     for arr in _walk_cases():
-        chains = arr.torsion_chains()
+        chains = arr.torsion_chains()[1]
         for s in range(1 << arr.k):
             block = expand_lambda(row_select(arr.matrix, [i for i in range(arr.k) if s >> i & 1]))
             assert chains[s] == smith_form(block).torsion_invariants
@@ -352,12 +353,32 @@ def test_walk_edge_cases_of_the_quotient():
     # k = 0 in the plane: the root is rank-deficient and has no children.
     no_rows = EllipticArrangement(RingMatrix(gauss, 0, 2, ()))
     assert list(no_rows._walk(no_rows._expansion_rows)) == [(0, 0, [], 0)]
-    assert no_rows.torsion_chains() == ((),)
+    assert no_rows.torsion_chains() == (((0,), (1,)), ((),))
     # A unit divisor makes L = Z^2 at once; the second subset is filled in.
     unit = EllipticArrangement(RingMatrix.from_pairs(gauss, [[(1, 0)], [(3, 1)]]))
     walk = list(unit._walk(unit._expansion_rows))
     assert [(s, r, det) for s, r, _, det in walk] == [(0, 0, 0), (1, 1, 1), (3, 1, 1), (2, 1, 10)]
     assert walk[2][2] == []
+
+
+def test_every_walk_is_capped():
+    # Walks of 2^21 nodes take seconds to minutes; each must refuse when called.
+    arr = random_arrangement(k=21, n=6, m=3, a=-1, b=2, c=1, bound=3, seed=1)
+    stacked, t_mask = dual_arrangement(arr)
+    walks = (
+        lambda: from_arrangement(arr),
+        arr.reports,
+        arr.torsion_chains,
+        arr.order_basis_reports,
+        lambda: arr.superset_reports(0),
+        lambda: stacked.superset_reports(t_mask),
+    )
+    message = "ground set of 21 elements exceeds the cap of 20"
+    for walk in walks:
+        start = time.monotonic()
+        with pytest.raises(ParameterError, match=message):
+            walk()
+        assert time.monotonic() - start < 2.0
 
 
 def test_walk_raises_on_odd_rank():
@@ -440,10 +461,10 @@ def test_coker_xcheck_flags_tampered_multiplicity():
 
 def test_subset_report_raises_on_odd_rank(monkeypatch):
     monkeypatch.setattr(
-        ellmat.arrangement, "smith_form", lambda matrix: SmithForm(rank=1, invariant_factors=(1,))
+        support, "smith_form", lambda matrix: SmithForm(rank=1, invariant_factors=(1,))
     )
     with pytest.raises(AssertionError, match="even rank"):
-        new_realization_sqrt3().subset_report(1)
+        subset_report(new_realization_sqrt3(), 1)
 
 
 def test_no_assert_statements_in_the_library():

@@ -1,9 +1,16 @@
+import copy
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ellmat import cli
+from ellmat import EllipticArrangement, cli
 from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC
 
 
@@ -59,6 +66,21 @@ def test_analyze_json(sqrt3_file, capsys):
     assert doc["char_poly"] == [-6, 1]
     assert doc["gcd_property"] == {"holds": False, "witness": "{1,2}"}
     assert all(v["ok"] for v in doc["axioms"].values())
+
+
+def test_analyze_walks_once(sqrt3_file, capsys, monkeypatch):
+    calls = [0]
+    original = EllipticArrangement._walk
+
+    def counted(self, expansion, fixed=0):
+        calls[0] += 1
+        return original(self, expansion, fixed)
+
+    monkeypatch.setattr(EllipticArrangement, "_walk", counted)
+    for flags in ((), ("--json",)):
+        calls[0] = 0
+        assert run_cli(capsys, "analyze", sqrt3_file, *flags)[0] == 0
+        assert calls[0] == 1
 
 
 def test_analyze_json_is_deterministic(sqrt3_file, capsys):
@@ -306,3 +328,84 @@ def test_huge_m_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_HOSTILE = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(1 << 64), (1 << 64) - 1, 1 << 64, 10**30, -(10**30), 10**4000]),
+    st.sampled_from([None, True, 0.5, float("nan"), float("inf"), "", "3", [], [1, 2], {}]),
+    st.sampled_from([{"m": 3}, {"a": 0, "b": 1, "c": 1}, [[1, 0]], [[[1, 0]]]]),
+    st.sampled_from([2, 50, 200]).map(_nested),
+).map(copy.deepcopy)  # a later mutation must not edit the constants above
+
+_ZERO_ROWS = {
+    "field": {"m": 1},
+    "tau": {"a": 0, "b": 1, "c": 1},
+    "matrix": {"rows": 0, "cols": 2, "entries": []},
+}
+
+
+def _paths(node, path=()):
+    """Every key path into a decoded document, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A fixture document with up to three values replaced, keys dropped or keys added."""
+    doc = copy.deepcopy(draw(st.sampled_from([FIXTURE_SQRT3_DOC, FIXTURE_OMEGA_DOC, _ZERO_ROWS])))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_HOSTILE)
+            continue
+        parent, key = reduce(getitem, path[:-1], doc), path[-1]
+        action = draw(st.sampled_from(["replace", "drop", "extra"]))
+        if action == "replace":
+            parent[key] = draw(_HOSTILE)
+        elif action == "drop":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(["extra", "m", "rows", "field"]))] = draw(_HOSTILE)
+        else:
+            parent.append(draw(_HOSTILE))
+    return doc
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_hostile_documents())
+def test_cli_survives_hostile_documents(tmp_path, doc):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    for command, codes in (
+        ("analyze", (0, 2)),
+        ("verify", (0, 1, 2)),
+        ("gcd-check", (0, 1, 2)),
+        ("dual", (0, 2)),
+        ("euler", (0, 2)),
+    ):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, str(path)])
+        assert code in codes, (command, doc)
+        assert (code == 2) == err.getvalue().startswith("error: "), (command, doc)

@@ -13,7 +13,7 @@ from ellmat import (
     serialize_arrangement,
 )
 from ellmat.quadratic_order import ParameterError
-from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC
+from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC, subset_report
 
 
 def test_parse_fixture(tmp_path):
@@ -22,7 +22,7 @@ def test_parse_fixture(tmp_path):
     arr = load_arrangement(str(path))
     assert (arr.k, arr.n) == (2, 1)
     assert arr.curve.N == 1
-    assert arr.subset_report(0b11)[1] == 2
+    assert subset_report(arr, 0b11)[1] == 2
 
 
 def test_parse_empty_matrix():
@@ -33,7 +33,7 @@ def test_parse_empty_matrix():
     }
     arr = parse_document(doc)
     assert (arr.k, arr.n) == (0, 2)
-    assert arr.subset_report(0)[1] == 1
+    assert subset_report(arr, 0)[1] == 1
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -101,4 +101,4 @@ def test_random_arrangement_rejects_bad_parameters():
 def test_omega_fixture_parses_to_maximal_order():
     arr = parse_document(FIXTURE_OMEGA_DOC)
     assert arr.curve.conductor == 1
-    assert arr.subset_report(0b11)[1] == 4
+    assert subset_report(arr, 0b11)[1] == 4

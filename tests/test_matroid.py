@@ -20,7 +20,8 @@ from ellmat import (
     random_arrangement,
     tutte,
 )
-from ellmat.matroid import MAX_GROUND, poly_eval
+from ellmat.arrangement import MAX_GROUND
+from ellmat.matroid import poly_eval
 from support import (
     arrangement_corpus,
     curve_sqrt3,
