@@ -26,7 +26,14 @@ from typing import Any
 
 from .arrangement import EllipticArrangement
 from .linalg import RingMatrix
-from .quadratic_order import COORD_LIMIT, CurveParams, ParameterError, make_curve, make_field
+from .quadratic_order import (
+    COORD_LIMIT,
+    ENTRY_LIMIT,
+    CurveParams,
+    ParameterError,
+    make_curve,
+    make_field,
+)
 
 
 class ArrangementFormatError(ValueError):
@@ -141,10 +148,15 @@ def random_arrangement(
     """Seeded arrangement with uniform entry coordinates in [-bound, bound].
 
     The same seed always produces the same arrangement, hence the same
-    serialized bytes.
+    serialized bytes.  More than ENTRY_LIMIT rows, columns or entries are
+    refused before any is drawn.
     """
     if k < 0 or n < 0:
         raise ParameterError("k and n must be non-negative")
+    if max(k, n, k * n) > ENTRY_LIMIT:
+        raise ParameterError(
+            f"a {k} x {n} matrix exceeds the limit of {ENTRY_LIMIT} rows, columns or entries"
+        )
     if bound < 0:
         raise ParameterError("bound must be non-negative")
     if bound >= COORD_LIMIT:

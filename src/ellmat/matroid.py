@@ -33,7 +33,8 @@ R-basis expansion of A at S and with the stacked walk at E - S.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
-out of a single pass over the 3^k nested pairs [X, Y], with O(2^k)
+out of a single pass over the 3^k nested pairs [X, Y], whose signed
+interval sums are one ternary transform of m: O(3^k) time and O(2^k)
 memory.  That is why every walk of `arrangement` refuses more than its
 MAX_GROUND (20) free divisors before it tabulates anything.
 
@@ -214,23 +215,38 @@ def _span(x: int, y: int) -> str:
     return f"[{format_subset(x)}, {format_subset(y)}]"
 
 
+# `_interval_pass` expands the last _LEAF positions of its ternary
+# transform flat, over a layout of 3^_LEAF pairs built once per pass, and
+# the others depth-first.  A wider leaf saves Python calls, but each leaf
+# table holds 3^_LEAF entries: at 10 that is 57 times a k = 10 input.
+_LEAF = 6
+
+
 def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
     """Verdicts of (A2), (P), (P1), (P2) and the (P) equivalence in one walk.
 
-    For each top set Y, ascending, g(X) = sum over S in [X, Y] of
-    (-1)^|Y - S| m(S) is formed for every X inside Y by a superset sum over
-    the subcube of Y, so memory stays O(2^k).  X then runs down submasks(Y):
+    g(X, Y) = sum over S in [X, Y] of (-1)^|Y - S| m(S) is tabulated for
+    all 3^k nested pairs by one ternary transform (Yates's algorithm; the
+    ranked Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto,
+    "Fourier meets Moebius", STOC 2007).  A pair is a word over {0, 1, *},
+    0 for outside Y, 1 for in X and * for in Y - X, and g(w*v) =
+    g(w1v) - g(w0v), from g(X, X) = m(X).  The top positions are taken
+    depth-first, each child table (lo, hi or hi - lo) half its parent's
+    size; the last _LEAF are expanded flat.  That is O(3^k) time and
+    O(2^k) memory.  Each pair [X, Y] is then checked:
 
     - [X, Y] is a molecule when rk(Y) = rk(X) + |(Y - X) & F_X|, with
       F_X = {i not in X : rk(X + i) > rk(X)}; the loops T are the rest of
-      Y - X and rho(X, Y) = (-1)^|T| g(X).  This closed form presumes
+      Y - X and rho(X, Y) = (-1)^|T| g(X, Y).  This closed form presumes
       (r1)-(r3): on tables breaking them it can name other molecules than
       an exhaustive check of rk over the interval would.
-    - (P1) reads the rank-constant intervals, where rho = (-1)^|Y - X| g(X).
+    - (P1) reads the rank-constant intervals, where rho = (-1)^|Y - X| g(X, Y).
     - (P2) is (P1) of the dual on [E - Y, E - X].  That interval is
       rank-constant for the dual exactly when rk(Y) - rk(X) = |Y - X|, and
-      its rho is g(X), so no dual tables are built.  Its violations are
-      reported in the order a scan of the dual would find them.
+      its rho is g(X, Y), so no dual tables are built.
+
+    Violations are reported by Y ascending, then X descending, and those
+    of (P2) in the order a scan of the dual would find them.
     """
     rk, m = matroid.rk, matroid.m
     e = matroid.ground_mask
@@ -238,34 +254,44 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
         sum(1 << i for i in range(matroid.size) if not x >> i & 1 and rk[x | 1 << i] > rk[x])
         for x in range(e + 1)
     ]
+    leaf = min(matroid.size, _LEAF)
+    # low_x[t], low_y[t]: the pair of the leaf positions that entry t of an
+    # expanded leaf table stands for, position i being digit i of t in base 3.
+    low_x, low_y = [0], [0]
+    for i in range(leaf):
+        bit = 1 << i
+        low_x = low_x + [x | bit for x in low_x] + low_x
+        low_y = low_y + [y | bit for y in low_y] * 2
     a2: list[Violation] = []
     p: list[Violation] = []
     p1: list[Violation] = []
     dual_hits: list[tuple[int, int, int]] = []
-    for y in range(e + 1):
-        ry = rk[y]
-        # subs[c] is the submask of y holding the bits of y that c selects,
-        # so subs ascends with c and the walk below is submasks(y).
-        subs = [0]
-        for i in bit_indices(y):
-            subs += [s | 1 << i for s in subs]
-        g = [-m[s] if (y ^ s).bit_count() & 1 else m[s] for s in subs]
-        step = 1
-        while step < len(g):
-            for c in range(len(g)):
-                if c & step:
-                    g[c ^ step] += g[c]
-            step <<= 1
-        for c in range(len(subs) - 1, -1, -1):
-            x, value = subs[c], g[c]
-            rx, diff = rk[x], y ^ x
+
+    def expand(table: list[int], top: int, high_x: int, high_y: int) -> None:
+        if top > leaf:
+            top -= 1
+            bit = 1 << top
+            lo, hi = table[:bit], table[bit:]
+            expand(lo, top, high_x, high_y)
+            expand(hi, top, high_x | bit, high_y | bit)
+            expand([b - a for a, b in zip(lo, hi)], top, high_x, high_y | bit)
+            return
+        for _ in range(leaf):
+            even, odd = table[0::2], table[1::2]
+            table = even + odd + [b - a for a, b in zip(even, odd)]
+        for x, y, value in zip(low_x, low_y, table):
+            x |= high_x
+            y |= high_y
+            rx, ry, diff = rk[x], rk[y], y ^ x
             coloops = diff & raising[x]
             if ry == rx + coloops.bit_count():
                 loops = diff ^ coloops
-                lhs, rhs = m[x] * m[y], m[x | coloops] * m[x | loops]
-                if lhs != rhs:
-                    detail = f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on {_span(x, y)}"
-                    a2.append(Violation("a2", (x, y), detail))
+                # (A2) is an identity when F or T is empty.
+                if coloops and loops:
+                    lhs, rhs = m[x] * m[y], m[x | coloops] * m[x | loops]
+                    if lhs != rhs:
+                        detail = f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on {_span(x, y)}"
+                        a2.append(Violation("a2", (x, y), detail))
                 signed = -value if loops.bit_count() & 1 else value
                 if signed < 0:
                     p.append(Violation("p", (x, y), f"rho = {signed} < 0 on {_span(x, y)}"))
@@ -276,6 +302,10 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
                     p1.append(Violation("p1", (x, y), detail))
             if ry - rx == diff.bit_count() and value < 0:
                 dual_hits.append((e ^ y, e ^ x, value))
+
+    expand(list(m), matroid.size, 0, 0)
+    for found in (a2, p, p1):
+        found.sort(key=lambda v: (v.subsets[1], -v.subsets[0]))
     dual_hits.sort(key=lambda hit: (hit[1], -hit[0]))
     p2 = tuple(
         Violation("p2", (x, y), f"rho = {value} < 0 on rank-constant {_span(x, y)} (dual)")

@@ -29,6 +29,9 @@ M_LIMIT = 1 << 64
 # at or above this in absolute value.  For k <= 20 every printed integer
 # then stays under about 3200 digits, below Python's int-to-str limit.
 COORD_LIMIT = 1 << 64
+# random_arrangement refuses more rows, columns or entries than this before
+# it draws any, so a huge --k or --n exits with an error, not a hang.
+ENTRY_LIMIT = 10**6
 
 
 def is_square_free(m: int) -> bool:

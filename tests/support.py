@@ -25,7 +25,7 @@ from ellmat import (
     smith_form,
 )
 from ellmat.linalg import conj_transpose, expand_order
-from ellmat.matroid import submasks
+from ellmat.matroid import bit_indices, submasks
 
 
 def curve_sqrt3():
@@ -483,6 +483,79 @@ def molecule_scan_verdicts(matroid) -> dict:
         else (Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)"),)
     )
     return verdicts
+
+
+# Slow reference for the ternary transform of the interval pass: the pass
+# as it was before, forming g(X) = sum over S in [X, Y] of (-1)^|Y - S| m(S)
+# by a superset sum over the subcube of each top set Y, O(k 3^k) in all.
+# It runs the same per-pair checks in the order the library reports them.
+
+
+def _span(x: int, y: int) -> str:
+    return f"[{format_subset(x)}, {format_subset(y)}]"
+
+
+def interval_pass_by_superset_sums(matroid) -> dict:
+    """(A2), (P), (P1), (P2) and the (P) equivalence from one superset sum
+    per top set Y, keyed and ordered as `check_axioms` reports them."""
+    rk, m = matroid.rk, matroid.m
+    e = matroid.ground_mask
+    raising = [
+        sum(1 << i for i in range(matroid.size) if not x >> i & 1 and rk[x | 1 << i] > rk[x])
+        for x in range(e + 1)
+    ]
+    a2: list[Violation] = []
+    p: list[Violation] = []
+    p1: list[Violation] = []
+    dual_hits: list[tuple[int, int, int]] = []
+    for y in range(e + 1):
+        ry = rk[y]
+        # subs[c] is the submask of y holding the bits of y that c selects,
+        # so subs ascends with c and the walk below is submasks(y).
+        subs = [0]
+        for i in bit_indices(y):
+            subs += [s | 1 << i for s in subs]
+        g = [-m[s] if (y ^ s).bit_count() & 1 else m[s] for s in subs]
+        step = 1
+        while step < len(g):
+            for c in range(len(g)):
+                if c & step:
+                    g[c ^ step] += g[c]
+            step <<= 1
+        for c in range(len(subs) - 1, -1, -1):
+            x, value = subs[c], g[c]
+            rx, diff = rk[x], y ^ x
+            coloops = diff & raising[x]
+            if ry == rx + coloops.bit_count():
+                loops = diff ^ coloops
+                lhs, rhs = m[x] * m[y], m[x | coloops] * m[x | loops]
+                if lhs != rhs:
+                    detail = f"m(X)m(Y) = {lhs} but m(X+F)m(X+T) = {rhs} on {_span(x, y)}"
+                    a2.append(Violation("a2", (x, y), detail))
+                signed = -value if loops.bit_count() & 1 else value
+                if signed < 0:
+                    p.append(Violation("p", (x, y), f"rho = {signed} < 0 on {_span(x, y)}"))
+            if rx == ry:
+                signed = -value if diff.bit_count() & 1 else value
+                if signed < 0:
+                    detail = f"rho = {signed} < 0 on rank-constant {_span(x, y)}"
+                    p1.append(Violation("p1", (x, y), detail))
+            if ry - rx == diff.bit_count() and value < 0:
+                dual_hits.append((e ^ y, e ^ x, value))
+    dual_hits.sort(key=lambda hit: (hit[1], -hit[0]))
+    p2 = tuple(
+        Violation("p2", (x, y), f"rho = {value} < 0 on rank-constant {_span(x, y)} (dual)")
+        for x, y, value in dual_hits
+    )
+    differs = (not p) != (not (a2 or p1 or p2))
+    mismatch = Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)")
+    return {
+        "a2": tuple(a2),
+        "p": tuple(p),
+        "p1": tuple(p1),
+        "p2": p2,
+        "p-equivalence": (mismatch,) if differs else (),
+    }
 
 
 # Slow reference for the local pass: the exhaustive (r1)-(r3) scan, with

@@ -298,6 +298,19 @@ def test_ground_set_cap_exit_code(tmp_path, capsys):
         assert "error:" in err and "cap of 20" in err
 
 
+def test_random_entry_limit_exit_code(capsys):
+    # 10^12 entry pairs would exhaust memory; the limit must refuse them
+    # before any is drawn, for a huge k, a huge n and a huge k with n = 0.
+    spec = "--m 1 --tau 0,1,1 --bound 2 --seed 1".split()
+    for k, n in ((10**9, 1000), (1, 10**9), (10**9, 0), (1001, 1000)):
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "random", "--k", str(k), "--n", str(n), *spec)
+        assert time.monotonic() - start < 2.0
+        assert (code, out) == (2, "")
+        limit = "exceeds the limit of 1000000 rows, columns or entries"
+        assert err == f"error: a {k} x {n} matrix {limit}\n"
+
+
 def test_huge_coordinates_exit_code(tmp_path, capsys):
     # Legal JSON, under the 4300-digit limit, but the multiplicities and
     # coefficients printed from such entries would pass it.

@@ -20,6 +20,7 @@ from ellmat import (
     random_arrangement,
     tutte,
 )
+from ellmat import matroid as matroid_module
 from ellmat.arrangement import MAX_GROUND
 from ellmat.matroid import poly_eval
 from support import (
@@ -27,6 +28,7 @@ from support import (
     curve_sqrt3,
     curve_third_sqrt2,
     find_molecule,
+    interval_pass_by_superset_sums,
     molecule_scan_verdicts,
     new_realization_omega,
     new_realization_sqrt3,
@@ -164,6 +166,44 @@ def test_interval_pass_matches_exhaustive_scans():
         verdicts = check_axioms(broken, ("p1", "p2"))
         reference = molecule_scan_verdicts(broken)
         assert verdicts == {"p1": reference["p1"], "p2": reference["p2"]}
+    assert violations > 1000
+
+
+def test_ternary_transform_matches_superset_sums(monkeypatch):
+    # The interval pass against the per-top-set superset sums it replaced,
+    # order and detail included, on any table: the corpus, its
+    # multiplicity-tampered, rank-tampered and random-rank copies, and
+    # arrangements with k = 0, 1, 7 and 8.  k = 7 and 8 pass the leaf
+    # width, so the depth-first part runs; the leaf is then narrowed to 2
+    # and 0, which leaves the corpus to the depth-first part too.
+    rng = random.Random(76)
+    names = ("a2", "p", "p1", "p2", "p-equivalence")
+    tables = []
+    for arr in arrangement_corpus(200):
+        matroid = from_arrangement(arr)
+        m = list(matroid.m)
+        for _ in range(rng.randint(1, 4)):
+            m[rng.randrange(len(m))] = rng.randint(1, 12)
+        rk = list(matroid.rk)
+        s = rng.randrange(len(rk))
+        rk[s] = max(0, rk[s] + rng.choice((-1, 1)))
+        random_rk = tuple(rng.randint(0, matroid.size) for _ in rk)
+        tables += [
+            matroid,
+            ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)),
+            ArithmeticMatroid(matroid.size, tuple(rk), matroid.m),
+            ArithmeticMatroid(matroid.size, random_rk, tuple(m)),
+        ]
+    for k in (0, 1, 7, 8):
+        tables.append(from_arrangement(random_arrangement(k, 3, 3, -1, 2, 1, 3, k)))
+    assert max(table.size for table in tables) > matroid_module._LEAF
+    violations = 0
+    for leaf in (matroid_module._LEAF, 2, 0):
+        monkeypatch.setattr(matroid_module, "_LEAF", leaf)
+        for table in tables:
+            verdicts = check_axioms(table, names)
+            assert verdicts == interval_pass_by_superset_sums(table)
+            violations += sum(len(v) for v in verdicts.values())
     assert violations > 1000
 
 
