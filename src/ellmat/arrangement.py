@@ -200,7 +200,9 @@ class EllipticArrangement:
         free = k - fixed.bit_count()
         if free > MAX_GROUND:
             raise ParameterError(f"ground set of {free} elements exceeds the cap of {MAX_GROUND}")
-        pairs = [(expansion[j], expansion[k + j]) for j in range(k) if not fixed >> j & 1]
+        # The bits of `fixed`, read once: a shift per bit would cost O(k^2).
+        inside = f"{fixed:0{k}b}"[::-1]
+        pairs = [(expansion[j], expansion[k + j]) for j in range(k) if inside[j] == "0"]
 
         def rec(narrow: int, bit: int, basis: list, pairs: list) -> Iterator:
             rows = [b for b in basis if b is not None]
@@ -227,7 +229,7 @@ class EllipticArrangement:
 
         root: list = [None] * (2 * n)
         for j in range(k):
-            if fixed >> j & 1:
+            if inside[j] == "1":
                 _insert(root, expansion[j], 0)
                 _insert(root, expansion[k + j], 0)
         return rec(0, 0, root, pairs)
@@ -240,7 +242,7 @@ class EllipticArrangement:
         rk, m = [0] * size, [1] * size
         for narrow, r, rows, det in walk:
             if rows and not det:
-                det = prod(smith_form(rows).invariant_factors)
+                det = prod(smith_form(rows))
             # An empty basis leaves a free quotient, without torsion.
             rk[narrow], m[narrow] = r, det or 1
         return tuple(rk), tuple(m)
@@ -275,7 +277,7 @@ class EllipticArrangement:
             rk[subset] = r
             # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
             if det != 1:
-                chains[subset] = smith_form(rows).torsion_invariants
+                chains[subset] = tuple(d for d in smith_form(rows) if d > 1)
         return (tuple(rk), tuple(map(prod, chains))), tuple(chains)
 
     def __repr__(self) -> str:

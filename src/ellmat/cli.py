@@ -266,12 +266,10 @@ def cmd_order_info(args: argparse.Namespace) -> int:
 def cmd_random(args: argparse.Namespace) -> int:
     a, b, c = _parse_tau(args.tau)
     arr = random_arrangement(args.k, args.n, args.m, a, b, c, args.bound, args.seed)
-    text = serialize_arrangement(arr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        save_arrangement(arr, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_arrangement(arr))
     return 0
 
 

@@ -58,6 +58,15 @@ def _as_object(value: Any, where: str, keys: tuple[str, ...]) -> dict:
     return value
 
 
+def _check_size(k: int, n: int, error: type[ValueError] = ParameterError) -> None:
+    """Raise `error` for a k x n matrix with more than ENTRY_LIMIT rows,
+    columns or entries, so a huge shape ends before any work, not in a hang."""
+    if max(k, n, k * n) > ENTRY_LIMIT:
+        raise error(
+            f"a {k} x {n} matrix exceeds the limit of {ENTRY_LIMIT} rows, columns or entries"
+        )
+
+
 def parse_document(doc: Any) -> EllipticArrangement:
     """Validate a decoded document and build the arrangement it describes."""
     top = _as_object(doc, "document", ("field", "tau", "matrix"))
@@ -80,6 +89,7 @@ def parse_document(doc: Any) -> EllipticArrangement:
     cols = _as_int(matrix_obj["cols"], "matrix.cols")
     if rows < 0 or cols < 0:
         raise ArrangementFormatError("matrix.rows and matrix.cols must be non-negative")
+    _check_size(rows, cols, ArrangementFormatError)
     entries = matrix_obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise ArrangementFormatError(
@@ -153,10 +163,7 @@ def random_arrangement(
     """
     if k < 0 or n < 0:
         raise ParameterError("k and n must be non-negative")
-    if max(k, n, k * n) > ENTRY_LIMIT:
-        raise ParameterError(
-            f"a {k} x {n} matrix exceeds the limit of {ENTRY_LIMIT} rows, columns or entries"
-        )
+    _check_size(k, n)
     if bound < 0:
         raise ParameterError("bound must be non-negative")
     if bound >= COORD_LIMIT:

@@ -21,38 +21,15 @@ subset walk of `arrangement` hands it echelon bases of at most 2n rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .quadratic_order import CurveParams, ParameterError
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Invariant factor decomposition d_1 | d_2 | ... | d_rank."""
-
-    rank: int
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.invariant_factors) != self.rank:
-            raise ParameterError("rank must equal the number of invariant factors")
-        prev = None
-        for d in self.invariant_factors:
-            if d < 1:
-                raise ParameterError("invariant factors must be positive")
-            if prev is not None and d % prev != 0:
-                raise ParameterError("invariant factors must form a divisibility chain")
-            prev = d
-
-    @property
-    def torsion_invariants(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariant_factors if d > 1)
-
-
-def smith_form(matrix: list[list[int]]) -> SmithForm:
-    """Smith normal form of the integer row list `matrix`, a map
-    Z^cols -> Z^rows; the rows are copied, never changed.
+def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... | d_r of the integer row list
+    `matrix`, a map Z^cols -> Z^rows of rank r = len(result); the rows are
+    copied, never changed.
 
     Repeatedly moves the smallest nonzero entry of the trailing block into
     pivot position, clears its column and then its row by exact or
@@ -124,24 +101,29 @@ def smith_form(matrix: list[list[int]]) -> SmithForm:
                 continue
         factors.append(p if p > 0 else -p)
         t += 1
-    return SmithForm(rank=len(factors), invariant_factors=tuple(factors))
+    return tuple(factors)
 
 
-@dataclass(frozen=True)
-class RingMatrix:
-    """k x n matrix over the order R of `curve`; entry (x, y) is x + y*N*tau."""
-
+class _Matrix(NamedTuple):
     curve: CurveParams
     k: int
     n: int
     entries: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.k:
+
+# A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
+class RingMatrix(_Matrix):
+    """k x n matrix over the order R of `curve`; entry (x, y) is x + y*N*tau."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, curve: CurveParams, k: int, n: int, entries: tuple) -> "RingMatrix":
+        if len(entries) != k:
             raise ParameterError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.n:
-                raise ParameterError("column count mismatch")
+        if any(len(row) != n for row in entries):
+            raise ParameterError("column count mismatch")
+        return super().__new__(cls, curve, k, n, entries)
 
     @classmethod
     def from_pairs(

@@ -43,9 +43,8 @@ Subsets are bitmasks, bit i standing for element i+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .arrangement import EllipticArrangement, Tables, dual_arrangement
 from .quadratic_order import ParameterError, format_terms
@@ -62,7 +61,9 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def bit_indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The positions of the set bits of mask >= 0, ascending, read off its
+    binary digits once: a shift per bit would cost O(bits^2)."""
+    return [i for i, digit in enumerate(reversed(bin(mask))) if digit == "1"]
 
 
 def format_subset(mask: int) -> str:
@@ -70,24 +71,30 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(i + 1) for i in bit_indices(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class ArithmeticMatroid:
+class _Matroid(NamedTuple):
+    size: int
+    rk: tuple[int, ...]
+    m: tuple[int, ...]
+
+
+# A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
+class ArithmeticMatroid(_Matroid):
     """Dense tables rk, m over all subsets of a ground set of `size` elements.
 
     Construction validates only shapes and positivity of m; the axioms are
     the verifiers' business, so deliberately broken tables are expressible.
     """
 
-    size: int
-    rk: tuple[int, ...]
-    m: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
-        expected = 1 << self.size
-        if len(self.rk) != expected or len(self.m) != expected:
+    def __new__(cls, size: int, rk: tuple[int, ...], m: tuple[int, ...]) -> "ArithmeticMatroid":
+        expected = 1 << size
+        if len(rk) != expected or len(m) != expected:
             raise ParameterError(f"tables must have {expected} entries")
-        if any(v < 1 for v in self.m):
+        if any(v < 1 for v in m):
             raise ParameterError("multiplicities must be positive")
+        return super().__new__(cls, size, rk, m)
 
     @property
     def ground_mask(self) -> int:
@@ -146,8 +153,7 @@ def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
     return ArithmeticMatroid(arr.k, *arr.reports())
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed axiom instance; subsets are the bitmasks involved."""
 
     axiom: str
@@ -424,8 +430,7 @@ def gcd_property(matroid: ArithmeticMatroid) -> tuple[bool, int | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class BiPoly:
+class BiPoly(NamedTuple):
     """Bivariate integer polynomial as sorted (deg1, deg2, coeff) terms."""
 
     terms: tuple[tuple[int, int, int], ...]

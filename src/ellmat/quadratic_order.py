@@ -13,9 +13,8 @@ else in the package, uses floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class ParameterError(ValueError):
@@ -29,8 +28,9 @@ M_LIMIT = 1 << 64
 # at or above this in absolute value.  For k <= 20 every printed integer
 # then stays under about 3200 digits, below Python's int-to-str limit.
 COORD_LIMIT = 1 << 64
-# random_arrangement refuses more rows, columns or entries than this before
-# it draws any, so a huge --k or --n exits with an error, not a hang.
+# Arrangement files and random arrangements refuse more rows, columns or
+# entries than this before any work, so a huge shape or --k or --n exits
+# with an error, not a hang.
 ENTRY_LIMIT = 10**6
 
 
@@ -54,8 +54,7 @@ def is_square_free(m: int) -> bool:
     return m == 1 or isqrt(m) ** 2 != m
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(NamedTuple):
     """The field Q(sqrt(-m)) and the shape of its ring of integers Z[omega].
 
     omega = (1 + sqrt(-m))/2 when m = 3 (mod 4), the half-integral case,
@@ -87,8 +86,7 @@ def make_field(m: int) -> FieldParams:
     return FieldParams(m=m, half_integral=False)
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(NamedTuple):
     """A lattice <1, tau>, tau = (a + b*omega)/c, with all derived constants.
 
     trace_num and det_num are c*tr and c^2*det of multiplication by tau, so
@@ -195,19 +193,26 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-@dataclass(frozen=True)
-class IntQuadratic:
-    """Primitive integer quadratic lead*X^2 + lin*X + const with negative discriminant."""
-
+class _Quadratic(NamedTuple):
     lead: int
     lin: int
     const: int
 
-    def __post_init__(self) -> None:
-        if gcd(gcd(self.lead, self.lin), self.const) != 1:
+
+# A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
+class IntQuadratic(_Quadratic):
+    """Primitive integer quadratic lead*X^2 + lin*X + const with negative discriminant."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, lead: int, lin: int, const: int) -> "IntQuadratic":
+        poly = super().__new__(cls, lead, lin, const)
+        if gcd(gcd(lead, lin), const) != 1:
             raise ParameterError("quadratic is not primitive")
-        if self.discriminant >= 0:
+        if poly.discriminant >= 0:
             raise ParameterError("discriminant must be negative")
+        return poly
 
     @property
     def discriminant(self) -> int:

@@ -199,10 +199,10 @@ def subset_report(arr: EllipticArrangement, subset: int) -> tuple[int, int]:
     against.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
-    snf = smith_form(expand_lambda(row_select(arr.matrix, rows)))
-    if snf.rank % 2:
+    factors = smith_form(expand_lambda(row_select(arr.matrix, rows)))
+    if len(factors) % 2:
         raise AssertionError("lattice expansions of order maps have even rank")
-    return snf.rank // 2, prod(snf.invariant_factors)
+    return len(factors) // 2, prod(factors)
 
 
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
@@ -212,7 +212,7 @@ def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     coker-xcheck, which reads the walk of `order_basis_reports`.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
-    return prod(smith_form(expand_order(row_select(arr.matrix, rows))).invariant_factors)
+    return prod(smith_form(expand_order(row_select(arr.matrix, rows))))
 
 
 def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:
@@ -223,7 +223,7 @@ def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> in
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
     flipped = conj_transpose(row_select(arr.matrix, rows))
-    return prod(smith_form(expand_lambda(flipped)).invariant_factors)
+    return prod(smith_form(expand_lambda(flipped)))
 
 
 def generator_index_oracle(field: FieldParams, a: int, b: int, c: int) -> int:

@@ -89,12 +89,8 @@ def test_criterion_02_integer_expansion_of_flat_map(capsys):
     mat = RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0), (1, 1)]])
     expansion = expand_lambda(mat)
     interleaved = [[row[j] for j in (0, 2, 1, 3)] for row in expansion]
-    snf = smith_form(expansion)
-    ok = (
-        interleaved == [[2, 0, 1, -3], [0, 2, 1, 1]]
-        and prod(snf.invariant_factors) == 2
-        and snf.invariant_factors == (1, 2)
-    )
+    factors = smith_form(expansion)
+    ok = interleaved == [[2, 0, 1, -3], [0, 2, 1, 1]] and prod(factors) == 2 and factors == (1, 2)
     with capsys.disabled():
         _verdict("criterion 2: lattice expansion matches the reference Z-matrix", ok)
 
@@ -117,9 +113,8 @@ def test_criterion_04_cokernels_coincide_across_bases(capsys):
     bad = 0
     corpus = matrix_corpus(500)
     for mat in corpus:
-        lam = smith_form(expand_lambda(mat))
-        order = smith_form(expand_order(mat))
-        if (lam.rank, lam.torsion_invariants) != (order.rank, order.torsion_invariants):
+        # Equal factor tuples: equal rank and equal torsion invariants.
+        if smith_form(expand_lambda(mat)) != smith_form(expand_order(mat)):
             bad += 1
     elapsed = time.monotonic() - start
     ok = bad == 0 and len(corpus) == 500 and elapsed < 30.0
@@ -135,7 +130,7 @@ def test_criterion_05_conjugate_transpose_preserves_torsion(capsys):
     for mat in matrix_corpus(500):
         direct = smith_form(expand_lambda(mat))
         flipped = smith_form(expand_lambda(conj_transpose(mat)))
-        if direct.torsion_invariants != flipped.torsion_invariants:
+        if [d for d in direct if d > 1] != [d for d in flipped if d > 1]:
             bad += 1
     ok = bad == 0
     with capsys.disabled():
@@ -256,9 +251,9 @@ def test_criterion_10_determinantal_divisor_oracle(capsys):
             if min(len(expansion), len(expansion[0])) > 4:
                 continue
             checked += 1
-            snf = smith_form(expansion)
+            factors = smith_form(expansion)
             rank, torsion = minor_rank_and_torsion(expansion)
-            if snf.rank != rank or prod(snf.invariant_factors) != torsion:
+            if len(factors) != rank or prod(factors) != torsion:
                 bad += 1
     ok = bad == 0 and checked > 0
     with capsys.disabled():

@@ -1,10 +1,14 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -309,6 +313,30 @@ def test_random_entry_limit_exit_code(capsys):
         assert (code, out) == (2, "")
         limit = "exceeds the limit of 1000000 rows, columns or entries"
         assert err == f"error: a {k} x {n} matrix {limit}\n"
+
+
+def test_file_entry_limit_exit_code(tmp_path, capsys):
+    # A zero-row file of width 10^18 ended in a MemoryError traceback and
+    # one of width 3*10^7 ran for minutes; parsing must refuse both, and
+    # too many rows or entries, on every command that reads a file.
+    limit = "exceeds the limit of 1000000 rows, columns or entries"
+    path = tmp_path / "huge_shape.json"
+    for rows, cols in ((0, 10**18), (0, 30_000_000), (10**7, 0), (1001, 1000)):
+        doc = dict(FIXTURE_SQRT3_DOC, matrix={"rows": rows, "cols": cols, "entries": []})
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "verify", "tutte", "euler", "gcd-check", "dual"):
+            start = time.monotonic()
+            code, out, err = run_cli(capsys, command, str(path))
+            assert time.monotonic() - start < 2.0
+            assert (code, out, err) == (2, "", f"error: a {rows} x {cols} matrix {limit}\n")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Importing either costs every process start-up time.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    code = "import sys, ellmat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_huge_coordinates_exit_code(tmp_path, capsys):

@@ -34,6 +34,9 @@ def test_parse_empty_matrix():
     arr = parse_document(doc)
     assert (arr.k, arr.n) == (0, 2)
     assert subset_report(arr, 0)[1] == 1
+    # The largest width ENTRY_LIMIT allows still parses.
+    doc["matrix"]["cols"] = 10**6
+    assert parse_document(doc).n == 10**6
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -64,6 +67,10 @@ def _broken(mutate):
         lambda d: d.__setitem__("extra", 1),
         lambda d: d.pop("tau"),
         lambda d: d["tau"].__setitem__("a", 1.5),
+        # Shapes above ENTRY_LIMIT, refused before any row is read.
+        lambda d: d["matrix"].update(rows=0, cols=10**18, entries=[]),
+        lambda d: d["matrix"].update(rows=10**6 + 1, cols=0, entries=[]),
+        lambda d: d["matrix"].update(rows=1001, cols=1000, entries=[]),
     ],
 )
 def test_parse_rejects_invalid_documents(mutate):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -78,10 +79,17 @@ def test_from_arrangement_cap():
 
 
 def test_table_shape_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="tables must have 4 entries"):
         ArithmeticMatroid(2, (0, 1, 1), (1, 1, 1, 1))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="tables must have 4 entries"):
+        ArithmeticMatroid(2, (0, 1, 1, 1), (1, 1, 1, 1, 1))
+    with pytest.raises(ParameterError, match="multiplicities must be positive"):
         ArithmeticMatroid(1, (0, 1), (1, 0))
+    with pytest.raises(ParameterError, match="multiplicities must be positive"):
+        ArithmeticMatroid(size=1, rk=(0, 1), m=(-1, 1))
+    # _replace builds a new tuple without __new__ unless _make is checked too.
+    with pytest.raises(ParameterError, match="multiplicities must be positive"):
+        ArithmeticMatroid(1, (0, 1), (1, 1))._replace(m=(1, 0))
 
 
 def test_verify_matroid_passes_on_examples():
@@ -497,3 +505,16 @@ def test_rho_nonnegative_on_corpus_molecules():
 def test_format_subset():
     assert format_subset(0) == "{}"
     assert format_subset(0b101) == "{1,3}"
+    for mask in range(1 << 10):
+        expected = [str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1]
+        assert format_subset(mask) == "{" + ",".join(expected) + "}"
+
+
+def test_format_subset_is_linear_in_the_width():
+    # `dual` prints T of a stacked arrangement as wide as the input's
+    # columns; a shift per bit took about 12 s at this width.
+    width = 10**6
+    start = time.monotonic()
+    text = format_subset((1 << width) - 1)
+    assert time.monotonic() - start < 2.0
+    assert text.startswith("{1,2,3,") and text.endswith(f",{width}}}")

@@ -141,6 +141,18 @@ def test_min_poly_values():
     assert str(IntQuadratic(-3, -1, -5)) == "-3*x^2 - x - 5"
 
 
+def test_int_quadratic_validation():
+    with pytest.raises(ParameterError, match="quadratic is not primitive"):
+        IntQuadratic(2, 0, 2)
+    with pytest.raises(ParameterError, match="discriminant must be negative"):
+        IntQuadratic(1, 0, -1)
+    with pytest.raises(ParameterError, match="discriminant must be negative"):
+        IntQuadratic(lead=1, lin=2, const=1)
+    assert IntQuadratic(1, 0, 3).discriminant == -12
+    with pytest.raises(ParameterError, match="quadratic is not primitive"):
+        IntQuadratic(1, 0, 3)._replace(lead=3)
+
+
 def test_min_poly_has_tau_as_root_numerically():
     # Oracle on the complex side: tau computed from (a + b*omega)/c must be
     # a root of the integer polynomial to floating precision.
