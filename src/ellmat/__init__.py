@@ -25,7 +25,6 @@ from .matroid import (
     Violation,
     char_poly,
     check_axioms,
-    e2_poincare,
     euler_characteristic,
     format_subset,
     from_arrangement,

@@ -78,14 +78,7 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import Iterator
 
-from .linalg import (
-    RingMatrix,
-    conj_transpose,
-    expand_lambda,
-    expand_order,
-    smith_form,
-    vstack,
-)
+from .linalg import RingMatrix, conj_transpose, expand_lambda, expand_order, smith_form
 from .quadratic_order import ParameterError
 
 # The rank and the multiplicity tables of a run of subsets.
@@ -295,6 +288,7 @@ def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int
     columns of divisor i, so S + T has the torsion order of the conjugate
     transpose of the rows E - S of A: one walk serves both cross-checks.
     """
-    stacked = vstack(RingMatrix.identity(arr.curve, arr.k), conj_transpose(arr.matrix))
+    rows = RingMatrix.identity(arr.curve, arr.k).entries + conj_transpose(arr.matrix).entries
+    stacked = RingMatrix(arr.curve, arr.k + arr.n, arr.k, rows)
     t_mask = ((1 << arr.n) - 1) << arr.k
     return EllipticArrangement(stacked), t_mask

@@ -126,8 +126,12 @@ def parse_text(text: str) -> EllipticArrangement:
 
 
 def load_arrangement(path: str) -> EllipticArrangement:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_text(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ArrangementFormatError(f"invalid UTF-8: {exc}") from exc
+    return parse_text(text)
 
 
 def _document_of(curve: CurveParams, matrix: RingMatrix) -> dict:

@@ -145,33 +145,24 @@ class RingMatrix(_Matrix):
         return cls(curve, k, k, rows)
 
 
-def expand_lambda(a: RingMatrix) -> list[list[int]]:
-    """The 2k integer rows, of length 2n, of A acting on <1, tau>-coordinates."""
+def _expand(a: RingMatrix, low: int, high: int) -> list[list[int]]:
+    """The 2k rows [[X, -Y*d*high], [Y*low, X + Y*s]] with low*high = N."""
     cv = a.curve
     s = cv.gen_trace
-    d = cv.delta_prime
-    big_n = cv.N
-    top = [
-        [x for x, _ in row] + [-d * y for _, y in row] for row in a.entries
-    ]
-    bottom = [
-        [big_n * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries
-    ]
+    dh = cv.delta_prime * high
+    top = [[x for x, _ in row] + [-dh * y for _, y in row] for row in a.entries]
+    bottom = [[low * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
     return top + bottom
+
+
+def expand_lambda(a: RingMatrix) -> list[list[int]]:
+    """The 2k integer rows, of length 2n, of A acting on <1, tau>-coordinates."""
+    return _expand(a, a.curve.N, 1)
 
 
 def expand_order(a: RingMatrix) -> list[list[int]]:
     """The 2k integer rows, of length 2n, of A acting on <1, N*tau>-coordinates."""
-    cv = a.curve
-    s = cv.gen_trace
-    dn = cv.delta_prime * cv.N
-    top = [
-        [x for x, _ in row] + [-dn * y for _, y in row] for row in a.entries
-    ]
-    bottom = [
-        [y for _, y in row] + [x + s * y for x, y in row] for row in a.entries
-    ]
-    return top + bottom
+    return _expand(a, 1, a.curve.N)
 
 
 def conj_transpose(a: RingMatrix) -> RingMatrix:
@@ -191,12 +182,3 @@ def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:
             raise ParameterError(f"row index {i} out of range for {a.k} rows")
     rows = tuple(a.entries[i] for i in picked)
     return RingMatrix(a.curve, len(picked), a.n, rows)
-
-
-def vstack(top: RingMatrix, bottom: RingMatrix) -> RingMatrix:
-    """Stack two matrices with equal column count over the same curve."""
-    if top.curve != bottom.curve:
-        raise ParameterError("stacked matrices live over different curves")
-    if top.n != bottom.n:
-        raise ParameterError("stacked matrices must have equal column counts")
-    return RingMatrix(top.curve, top.k + bottom.k, top.n, top.entries + bottom.entries)

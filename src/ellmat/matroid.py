@@ -112,40 +112,28 @@ class ArithmeticMatroid(_Matroid):
         m = tuple(self.m[e ^ s] for s in range(e + 1))
         return ArithmeticMatroid(self.size, rk, m)
 
-    def _kept(self, t_mask: int) -> list[int]:
+    def _kept_masks(self, t_mask: int) -> list[int]:
+        """Every subset of the elements outside t_mask, at the index of its
+        renumbered form, the order of the contraction and the deletion."""
         if not 0 <= t_mask <= self.ground_mask:
             raise ParameterError("subset out of range")
-        return [i for i in range(self.size) if not t_mask >> i & 1]
-
-    def _widen(self, narrow: int, kept: list[int]) -> int:
-        wide = 0
-        for j, i in enumerate(kept):
-            if narrow >> j & 1:
-                wide |= 1 << i
+        wide = [0]
+        for i in bit_indices(self.ground_mask ^ t_mask):
+            wide += [w | 1 << i for w in wide]
         return wide
 
     def contraction(self, t_mask: int) -> "ArithmeticMatroid":
         """Contract the elements of t_mask: rk(A) -> rk(A|T) - rk(T), m(A) -> m(A|T)."""
-        kept = self._kept(t_mask)
+        wide = [w | t_mask for w in self._kept_masks(t_mask)]
         base = self.rk[t_mask]
-        rk = []
-        m = []
-        for narrow in range(1 << len(kept)):
-            wide = self._widen(narrow, kept) | t_mask
-            rk.append(self.rk[wide] - base)
-            m.append(self.m[wide])
-        return ArithmeticMatroid(len(kept), tuple(rk), tuple(m))
+        rk, m = tuple(self.rk[w] - base for w in wide), tuple(self.m[w] for w in wide)
+        return ArithmeticMatroid(self.size - t_mask.bit_count(), rk, m)
 
     def deletion(self, t_mask: int) -> "ArithmeticMatroid":
         """Delete the elements of t_mask, restricting both tables."""
-        kept = self._kept(t_mask)
-        rk = []
-        m = []
-        for narrow in range(1 << len(kept)):
-            wide = self._widen(narrow, kept)
-            rk.append(self.rk[wide])
-            m.append(self.m[wide])
-        return ArithmeticMatroid(len(kept), tuple(rk), tuple(m))
+        wide = self._kept_masks(t_mask)
+        rk, m = tuple(self.rk[w] for w in wide), tuple(self.m[w] for w in wide)
+        return ArithmeticMatroid(self.size - t_mask.bit_count(), rk, m)
 
 
 def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
@@ -497,13 +485,6 @@ def poly_str(coeffs: tuple[int, ...], var: str = "t") -> str:
     )
 
 
-def poly_eval(coeffs: tuple[int, ...], value: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * value + c
-    return out
-
-
 def euler_characteristic(matroid: ArithmeticMatroid, ambient_n: int) -> int:
     """Euler characteristic of the arrangement complement in E^ambient_n.
 
@@ -516,30 +497,3 @@ def euler_characteristic(matroid: ArithmeticMatroid, ambient_n: int) -> int:
         return 0
     value = tutte(matroid).evaluate(1, 0)
     return -value if r & 1 else value
-
-
-def e2_poincare(matroid: ArithmeticMatroid, ambient_n: int | None = None) -> BiPoly:
-    """Bigraded Poincare polynomial of the second spectral-sequence page.
-
-    With chi(q) = sum chi_i q^(r-i), returns
-    sum over i of (-1)^i chi_i (1+t)^(2(r-i)) s^i.  Evaluating at
-    t = -1, s = -1 recovers the Euler characteristic.  Only meaningful for
-    essential arrangements; pass ambient_n to enforce that.
-    """
-    r = matroid.full_rank
-    if ambient_n is not None and ambient_n != r:
-        raise ParameterError(
-            f"non-essential input: rank {r} differs from ambient dimension {ambient_n}"
-        )
-    chi = char_poly(matroid)
-    acc: dict[tuple[int, int], int] = {}
-    for i in range(r + 1):
-        chi_i = chi[r - i]
-        if chi_i == 0:
-            continue
-        w = -chi_i if i & 1 else chi_i
-        e = 2 * (r - i)
-        for d in range(e + 1):
-            key = (d, i)
-            acc[key] = acc.get(key, 0) + w * comb(e, d)
-    return BiPoly.from_dict(acc)

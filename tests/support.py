@@ -630,6 +630,14 @@ def tutte_per_subset(matroid) -> BiPoly:
     return BiPoly.from_dict(acc)
 
 
+def poly_eval(coeffs: tuple[int, ...], value: int) -> int:
+    """The polynomial of ascending coefficients at `value`, by Horner's rule."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * value + c
+    return out
+
+
 def is_square_free_by_trial(m: int) -> bool:
     """The square-free test by trial division with d^2 up to sqrt(m)."""
     return m >= 1 and all(m % (d * d) for d in range(2, isqrt(m) + 1))

@@ -21,7 +21,7 @@ from ellmat import (
     tutte,
 )
 from ellmat.linalg import conj_transpose, expand_order
-from ellmat.matroid import AXIOM_NAMES, poly_eval
+from ellmat.matroid import AXIOM_NAMES
 from support import (
     FIXTURE_OMEGA_DOC,
     FIXTURE_SQRT3_DOC,
@@ -35,6 +35,7 @@ from support import (
     minor_rank_and_torsion,
     new_realization_sqrt3,
     points_corpus,
+    poly_eval,
     prime_factors,
     splits,
     union_point_count,

@@ -288,6 +288,19 @@ def test_deep_nesting_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_utf8_file_exit_code(tmp_path, capsys):
+    # The file is decoded before the JSON parser runs, so a bad byte is an
+    # input error too, whether it leads the file or follows valid JSON.
+    valid = json.dumps(FIXTURE_SQRT3_DOC).encode()
+    for data in (b"\xff\xfe", valid + b"\xff"):
+        path = tmp_path / "binary.json"
+        path.write_bytes(data)
+        for command in ("analyze", "verify", "tutte", "euler", "gcd-check", "dual"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: invalid UTF-8: "), command
+
+
 def test_ground_set_cap_exit_code(tmp_path, capsys):
     # 2^21 Smith forms would take minutes; the cap must refuse the file first.
     path = tmp_path / "wide.json"
@@ -441,6 +454,7 @@ def test_cli_survives_hostile_documents(tmp_path, doc):
     path.write_text(json.dumps(doc))
     for command, codes in (
         ("analyze", (0, 2)),
+        ("tutte", (0, 2)),
         ("verify", (0, 1, 2)),
         ("gcd-check", (0, 1, 2)),
         ("dual", (0, 2)),

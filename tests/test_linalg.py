@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellmat import ParameterError, RingMatrix, expand_lambda, row_select, smith_form
-from ellmat.linalg import conj_transpose, expand_order, vstack
+from ellmat.linalg import conj_transpose, expand_order
 from support import (
     curve_half_i,
     curve_omega3,
@@ -214,15 +214,6 @@ def test_row_select():
     assert single.entries[0][0] == (1, 1)
     with pytest.raises(ParameterError):
         row_select(mat, [2])
-
-
-def test_vstack_shapes():
-    top = RingMatrix.identity(curve_sqrt3(), 2)
-    bottom = RingMatrix.from_pairs(curve_sqrt3(), [[(1, 1), (0, 0)]])
-    stacked = vstack(top, bottom)
-    assert (stacked.k, stacked.n) == (3, 2)
-    with pytest.raises(ParameterError):
-        vstack(top, RingMatrix.identity(curve_omega3(), 2))
 
 
 def test_cokernels_agree_across_bases_small_corpus():

@@ -12,7 +12,6 @@ from ellmat import (
     char_poly,
     check_axioms,
     dual_arrangement,
-    e2_poincare,
     euler_characteristic,
     format_subset,
     from_arrangement,
@@ -23,7 +22,6 @@ from ellmat import (
 )
 from ellmat import matroid as matroid_module
 from ellmat.arrangement import MAX_GROUND
-from ellmat.matroid import poly_eval
 from support import (
     arrangement_corpus,
     curve_sqrt3,
@@ -33,6 +31,7 @@ from support import (
     molecule_scan_verdicts,
     new_realization_omega,
     new_realization_sqrt3,
+    poly_eval,
     random_ring_matrix,
     rank_and_a1_scan,
     rho,
@@ -461,37 +460,6 @@ def test_euler_characteristic():
     point = ArithmeticMatroid(0, (0,), (1,))
     assert euler_characteristic(point, 0) == 1
     assert euler_characteristic(matroid, 2) == 0
-
-
-def test_e2_poincare():
-    matroid = _example_matroid()
-    poly = e2_poincare(matroid)
-    assert dict(((i, j), c) for i, j, c in poly.terms) == {
-        (0, 0): 1,
-        (1, 0): 2,
-        (2, 0): 1,
-        (0, 1): 6,
-    }
-    assert poly.evaluate(-1, -1) == -6
-    free = e2_poincare(_free_matroid(1))
-    assert dict(((i, j), c) for i, j, c in free.terms) == {
-        (0, 0): 1,
-        (1, 0): 2,
-        (2, 0): 1,
-        (0, 1): 1,
-    }
-    with pytest.raises(ParameterError):
-        e2_poincare(matroid, ambient_n=2)
-
-
-def test_e2_specializes_to_euler_on_corpus():
-    for arr in arrangement_corpus(20, seed=63):
-        matroid = from_arrangement(arr)
-        essential = matroid.full_rank == arr.n
-        if not essential:
-            continue
-        poly = e2_poincare(matroid, ambient_n=arr.n)
-        assert poly.evaluate(-1, -1) == euler_characteristic(matroid, arr.n)
 
 
 def test_rho_nonnegative_on_corpus_molecules():
