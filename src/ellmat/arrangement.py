@@ -47,17 +47,17 @@ unchanged.  Then, in the current coordinates:
   does every basis of index other than 1 for the torsion chains, which
   only `torsion_chains` computes; an empty one has m(S) = 1.
 
-Below a full-rank node of index D, inserted rows and the entries right
-of each updated pivot are reduced mod D, pivots never (Domich, Kannan &
-Trotter, Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2).  This is sound
-because every later pivot divides the one it replaces, so their product
-divides D and D Z^w stays inside the new lattice.  A projection at such
-a node keeps its t non-unit pivot columns and may reduce mod D too:
-phi(L(S)) has index D in Z^t, so it contains D Z^t, and the images of
-the non-unit rows, still triangular on the same pivots, span it also
-after their other entries are reduced mod D.  The pivots are kept, since
-one can be D itself.  At D = 1 the quotient is trivial, and every subset
-of the subtree has rank n and multiplicity 1 with no arithmetic at all.
+Insertion never reduces; the projection is the walk's only reduction.
+At a full-rank node of index D it keeps the t non-unit pivot columns and
+reduces every entry but the pivots mod D (Domich, Kannan & Trotter, Math.
+Oper. Res. 1987; Cohen, GTM 138, 2.4.2): phi(L(S)) has index D in Z^t,
+so it contains D Z^t.  The reduced images of the non-unit rows stay in
+it and triangular on the same pivots, so they span a sublattice of the
+same index, phi(L(S)) itself; a row still to insert moves by a vector of
+D Z^t, which every lattice of the subtree contains.  The pivots are
+kept, since one can be D itself.  At D = 1 the quotient is trivial, and
+every subset of the subtree has rank n and multiplicity 1 with no
+arithmetic at all.
 
 Every walk returns the pair (rk, m) of int tuples, the rank and the
 multiplicity of each subset it visits, the shape `ArithmeticMatroid`
@@ -97,16 +97,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, (g - t * b) // a, t
 
 
-def _insert(basis: list, v: list[int], det: int) -> None:
+def _insert(basis: list, v: list[int]) -> None:
     """Add the row v to the echelon basis, in place.
 
     basis[c] is the row whose first nonzero entry, its pivot, is in column
     c, or None.  Rows are replaced, never mutated, so a copied basis list
-    shares them safely.  det > 0 is the index of the full-rank lattice the
-    basis spans: entries are then reduced mod det, pivots excepted.
+    shares them safely.
     """
-    if det:
-        v = [e % det for e in v]
     for c in range(len(v)):
         x = v[c]
         if not x:
@@ -122,25 +119,23 @@ def _insert(basis: list, v: list[int], det: int) -> None:
         else:
             g, s, t = _xgcd(a, x)
             p, q = a // g, x // g
-            row = [s * bi + t * vi for bi, vi in zip(b, v)]
+            basis[c] = [s * bi + t * vi for bi, vi in zip(b, v)]
             v = [p * vi - q * bi for bi, vi in zip(b, v)]
-            if det:
-                row[c + 1 :] = [e % det for e in row[c + 1 :]]
-            basis[c] = row
-        if det:
-            v = [e % det for e in v]
 
 
 def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
     """The echelon `basis` and the row `pairs` still to insert, carried to
-    Z^w, w the number of columns without a unit pivot.
+    Z^w, w the number of columns without a unit pivot; both unchanged when
+    no pivot is a unit.
 
     The unit-pivot columns are eliminated in ascending order, from the other
     basis rows and from the pairs, and the other w columns are kept, mod det
-    when det > 0 is the index of a full-rank basis.  The pivots themselves
-    are restored, since one can equal det.
+    when det > 0 is the index of a full-rank basis: the walk's only
+    reduction.  The pivots themselves are restored, since one can equal det.
     """
     units = [(c, b) for c, b in enumerate(basis) if b is not None and b[c] in (1, -1)]
+    if not units:
+        return basis, pairs
     keep = [c for c, b in enumerate(basis) if b is None or b[c] not in (1, -1)]
 
     def project(v: list[int]) -> list[int]:
@@ -210,21 +205,19 @@ class EllipticArrangement:
                 for sub in range(1, 1 << len(pairs)):
                     yield narrow | sub << bit, n, [], 1
                 return
-            if len(pairs) >= 2 and any(
-                b is not None and b[c] in (1, -1) for c, b in enumerate(basis)
-            ):
+            if len(pairs) >= 2:
                 basis, pairs = _project(basis, pairs, det)
             for i, (top, bottom) in enumerate(pairs):
                 child = basis.copy()
-                _insert(child, top, det)
-                _insert(child, bottom, det)
+                _insert(child, top)
+                _insert(child, bottom)
                 yield from rec(narrow | 1 << bit + i, bit + i + 1, child, pairs[i + 1 :])
 
         root: list = [None] * (2 * n)
         for j in range(k):
             if inside[j] == "1":
-                _insert(root, expansion[j], 0)
-                _insert(root, expansion[k + j], 0)
+                _insert(root, expansion[j])
+                _insert(root, expansion[k + j])
         return rec(0, 0, root, pairs)
 
     def _tabulate(self, expansion: list[list[int]], fixed: int) -> Tables:

@@ -36,6 +36,12 @@ from .quadratic_order import (
 )
 
 
+# The longest canonical document of a legal arrangement: ENTRY_LIMIT rows of
+# one entry at coordinates -(COORD_LIMIT - 1), 102 bytes a row (a zero-width
+# row takes 10), and a header far below 4096 bytes.
+READ_LIMIT = ENTRY_LIMIT * (2 * len(str(1 - COORD_LIMIT)) + 60) + 4096
+
+
 class ArrangementFormatError(ValueError):
     """Malformed or invalid arrangement document."""
 
@@ -96,7 +102,7 @@ def parse_document(doc: Any) -> EllipticArrangement:
             f"matrix.entries: expected {rows} rows, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    pairs: list[list[tuple[int, int]]] = []
+    pairs: list[tuple[tuple[int, int], ...]] = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ArrangementFormatError(
@@ -111,8 +117,8 @@ def parse_document(doc: Any) -> EllipticArrangement:
             if max(abs(x), abs(y)) >= COORD_LIMIT:
                 raise ArrangementFormatError(f"{where}: |x| and |y| must be below 2^64")
             out_row.append((x, y))
-        pairs.append(out_row)
-    return EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=cols))
+        pairs.append(tuple(out_row))
+    return EllipticArrangement(RingMatrix(curve, rows, cols, tuple(pairs)))
 
 
 def parse_text(text: str) -> EllipticArrangement:
@@ -126,9 +132,13 @@ def parse_text(text: str) -> EllipticArrangement:
 
 
 def load_arrangement(path: str) -> EllipticArrangement:
+    """Parse the file at `path`, refused once READ_LIMIT + 1 bytes are read."""
+    with open(path, "rb") as handle:
+        data = handle.read(READ_LIMIT + 1)
+    if len(data) > READ_LIMIT:
+        raise ArrangementFormatError(f"{path}: longer than the limit of {READ_LIMIT} bytes")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ArrangementFormatError(f"invalid UTF-8: {exc}") from exc
     return parse_text(text)
@@ -174,8 +184,8 @@ def random_arrangement(
         raise ParameterError("bound must be below 2^64")
     curve = make_curve(make_field(m), a, b, c)
     rng = random.Random(seed)
-    pairs = [
-        [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
+    pairs = tuple(
+        tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n))
         for _ in range(k)
-    ]
-    return EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=n))
+    )
+    return EllipticArrangement(RingMatrix(curve, k, n, pairs))

@@ -127,15 +127,11 @@ class RingMatrix(_Matrix):
 
     @classmethod
     def from_pairs(
-        cls, curve: CurveParams, pairs: Iterable[Iterable[tuple[int, int]]], cols: int | None = None
+        cls, curve: CurveParams, pairs: Iterable[Iterable[tuple[int, int]]]
     ) -> "RingMatrix":
         """Build from rows of (x, y) coordinate pairs over the basis {1, N*tau}."""
-        rows = [tuple((int(x), int(y)) for x, y in row) for row in pairs]
-        if rows:
-            width = len(rows[0])
-        else:
-            width = 0 if cols is None else cols
-        return cls(curve, len(rows), width, tuple(rows))
+        rows = tuple(tuple((int(x), int(y)) for x, y in row) for row in pairs)
+        return cls(curve, len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def identity(cls, curve: CurveParams, k: int) -> "RingMatrix":

@@ -77,11 +77,11 @@ FIXTURE_OMEGA_DOC = {
 
 
 def random_ring_matrix(rng: random.Random, curve, k: int, n: int, bound: int) -> RingMatrix:
-    pairs = [
-        [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
+    pairs = tuple(
+        tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n))
         for _ in range(k)
-    ]
-    return RingMatrix.from_pairs(curve, pairs, cols=n)
+    )
+    return RingMatrix(curve, k, n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +131,7 @@ def points_corpus(count: int = 50, seed: int = 73) -> tuple[EllipticArrangement,
             while x == 0 and y == 0:
                 x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             pairs.append([(x, y)])
-        out.append(EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=1)))
+        out.append(EllipticArrangement(RingMatrix.from_pairs(curve, pairs)))
     return tuple(out)
 
 

@@ -237,14 +237,27 @@ def test_smith_forms_per_walk(monkeypatch):
     assert subset_report(arr, 3) == (table[0][3], table[1][3])
 
 
+def _no_unit_cases() -> list[EllipticArrangement]:
+    """Every coordinate even, up to 2^62, over Z[i] and at N=9: every lattice
+    is even too, so no pivot is ever a unit and their walks never project."""
+    cases = []
+    for n, curve in ((1, (1, 0, 1, 1)), (2, (2, 0, 1, 3))):
+        odd = random_arrangement(8, n, *curve, bound=2**61, seed=5)
+        even = [[(2 * x, 2 * y) for x, y in row] for row in odd.matrix.entries]
+        cases.append(EllipticArrangement(RingMatrix.from_pairs(odd.curve, even)))
+    return cases
+
+
 def _walk_cases() -> list[EllipticArrangement]:
-    """The corpus, three big-entry N=9 arrangements and the edge cases."""
+    """The corpus, three big-entry N=9 arrangements, two without any unit
+    pivot and the edge cases."""
     gauss = curve_gauss()
     cases = list(arrangement_corpus(200))
     cases += [
         random_arrangement(k=8, n=4, m=2, a=0, b=1, c=3, bound=10**6, seed=seed)
         for seed in (1, 2, 3)
     ]
+    cases += _no_unit_cases()
     cases += [
         EllipticArrangement(RingMatrix(gauss, 0, 2, ())),
         EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ()))),
@@ -306,13 +319,17 @@ def test_torsion_chains_match_smith_form():
 
 
 def _count_projections(monkeypatch) -> list[int]:
-    """The index of every node the walk projects at, 0 when rank-deficient."""
+    """The index of every node whose coordinates the walk projects, 0 when
+    rank-deficient."""
     calls: list[int] = []
     original = ellmat.arrangement._project
 
     def counted(basis, pairs, det):
-        calls.append(det)
-        return original(basis, pairs, det)
+        projected = original(basis, pairs, det)
+        # Without a unit pivot the basis comes back as it is.
+        if projected[0] is not basis:
+            calls.append(det)
+        return projected
 
     monkeypatch.setattr(ellmat.arrangement, "_project", counted)
     return calls
@@ -336,6 +353,11 @@ def test_walk_takes_both_quotient_branches(monkeypatch):
         fills += _fills(random_arrangement(k=8, n=4, m=2, a=0, b=1, c=3, bound=10**6, seed=seed))
         assert 0 in projections and max(projections) > 1
     assert fills > 0
+    projections.clear()
+    for arr in _no_unit_cases():
+        arr.torsion_chains()
+        arr.order_basis_reports()
+    assert projections == []
 
 
 def test_walk_edge_cases_of_the_quotient():
@@ -409,7 +431,7 @@ def _arrangement_and_mask(draw) -> tuple[EllipticArrangement, int]:
         st.just([(0, 0)] * n), st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)
     )
     pairs = draw(st.lists(row, min_size=k, max_size=k))
-    arr = EllipticArrangement(RingMatrix.from_pairs(curve, pairs, cols=n))
+    arr = EllipticArrangement(RingMatrix(curve, k, n, tuple(map(tuple, pairs))))
     return arr, draw(st.integers(0, (1 << k) - 1))
 
 

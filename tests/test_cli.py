@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ellmat import EllipticArrangement, cli
+from ellmat import EllipticArrangement, cli, fileio
 from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC
 
 
@@ -299,6 +299,29 @@ def test_non_utf8_file_exit_code(tmp_path, capsys):
             code, out, err = run_cli(capsys, command, str(path))
             assert (code, out) == (2, ""), command
             assert err.startswith("error: invalid UTF-8: "), command
+
+
+def test_endless_file_exit_code(capsys):
+    # /dev/zero was read until memory ran out; the read stops one byte past
+    # the limit.
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "/dev/zero")
+    assert time.monotonic() - start < 10.0
+    assert (code, out) == (2, "")
+    assert err == f"error: /dev/zero: longer than the limit of {fileio.READ_LIMIT} bytes\n"
+
+
+def test_file_byte_limit_exit_code(tmp_path, capsys, monkeypatch):
+    text = json.dumps(FIXTURE_SQRT3_DOC)
+    path = tmp_path / "sqrt3.json"
+    path.write_text(text)
+    monkeypatch.setattr(fileio, "READ_LIMIT", len(text))
+    assert run_cli(capsys, "verify", str(path))[0] == 0
+    path.write_text(text + "\n")
+    for command in ("analyze", "verify", "tutte", "euler", "gcd-check", "dual"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err == f"error: {path}: longer than the limit of {len(text)} bytes\n", command
 
 
 def test_ground_set_cap_exit_code(tmp_path, capsys):

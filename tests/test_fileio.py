@@ -5,6 +5,8 @@ import pytest
 
 from ellmat import (
     ArrangementFormatError,
+    EllipticArrangement,
+    RingMatrix,
     load_arrangement,
     parse_document,
     parse_text,
@@ -12,8 +14,9 @@ from ellmat import (
     save_arrangement,
     serialize_arrangement,
 )
-from ellmat.quadratic_order import ParameterError
-from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC, subset_report
+from ellmat.fileio import READ_LIMIT
+from ellmat.quadratic_order import COORD_LIMIT, ENTRY_LIMIT, ParameterError
+from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC, curve_gauss, subset_report
 
 
 def test_parse_fixture(tmp_path):
@@ -109,3 +112,19 @@ def test_omega_fixture_parses_to_maximal_order():
     arr = parse_document(FIXTURE_OMEGA_DOC)
     assert arr.curve.conductor == 1
     assert subset_report(arr, 0b11)[1] == 4
+
+
+def test_read_limit_holds_every_canonical_document():
+    # Rows of one entry at the largest coordinates make the longest text a
+    # legal arrangement serializes to.  The text grows by the same bytes a
+    # row, so its length at the limit extrapolates from 100 and 200 rows.
+    pair = (1 - COORD_LIMIT,) * 2
+
+    def length(k: int, n: int) -> int:
+        matrix = RingMatrix(curve_gauss(), k, n, ((pair,) * n,) * k)
+        return len(serialize_arrangement(EllipticArrangement(matrix)).encode())
+
+    for n in (0, 1, 2, 3):
+        per_row = (length(200, n) - length(100, n)) / 100
+        longest = length(100, n) + (ENTRY_LIMIT // max(n, 1) - 100) * per_row
+        assert longest <= READ_LIMIT
