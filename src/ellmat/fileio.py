@@ -21,7 +21,9 @@ byte-for-byte through parse and serialize.
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from typing import Any
 
 from .arrangement import EllipticArrangement
@@ -132,10 +134,15 @@ def parse_text(text: str) -> EllipticArrangement:
 
 
 def load_arrangement(path: str) -> EllipticArrangement:
-    """Parse the file at `path`, refused once READ_LIMIT + 1 bytes are read."""
+    """Parse the file at `path`, refused unread when a regular file is longer
+    than READ_LIMIT, else once READ_LIMIT + 1 bytes are read."""
     with open(path, "rb") as handle:
-        data = handle.read(READ_LIMIT + 1)
-    if len(data) > READ_LIMIT:
+        info = os.fstat(handle.fileno())
+        length = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        if length <= READ_LIMIT:
+            data = handle.read(READ_LIMIT + 1)
+            length = len(data)
+    if length > READ_LIMIT:
         raise ArrangementFormatError(f"{path}: longer than the limit of {READ_LIMIT} bytes")
     try:
         text = data.decode("utf-8")

@@ -38,6 +38,10 @@ interval sums are one ternary transform of m: O(3^k) time and O(2^k)
 memory.  That is why every walk of `arrangement` refuses more than its
 MAX_GROUND (20) free divisors before it tabulates anything.
 
+L7: `char_poly` is sum (-1)^|S| m(S) t^(r - rk S) and `euler_characteristic`
+the same sum over the subsets of rank n, one pass over the tables each; the
+tests, not this module, check both against the Tutte polynomial.
+
 Subsets are bitmasks, bit i standing for element i+1.
 """
 
@@ -106,11 +110,10 @@ class ArithmeticMatroid(_Matroid):
 
     def dual(self) -> "ArithmeticMatroid":
         """Dual tables: rk*(S) = |S| - rk(E) + rk(E - S), m*(S) = m(E - S)."""
-        e = self.ground_mask
         r = self.full_rank
-        rk = tuple(s.bit_count() - r + self.rk[e ^ s] for s in range(e + 1))
-        m = tuple(self.m[e ^ s] for s in range(e + 1))
-        return ArithmeticMatroid(self.size, rk, m)
+        # Entry E - S of a table is entry S of its reverse.
+        rk = tuple(s.bit_count() - r + rank for s, rank in enumerate(reversed(self.rk)))
+        return ArithmeticMatroid(self.size, rk, self.m[::-1])
 
     def _kept_masks(self, t_mask: int) -> list[int]:
         """Every subset of the elements outside t_mask, at the index of its
@@ -334,13 +337,10 @@ def _coker_check(
     """Whether each m(S) of the tables equals the multiplicity at S of one
     walk of the R-basis expansion of A, and the stacked walk's multiplicity
     at E - S, that of the conjugate transpose of the rows S."""
-    e = matroid.ground_mask
-    order_m, stacked_m = arr.order_basis_reports()[1], stacked[1]
     out = []
-    for subset in range(e + 1):
-        direct = matroid.m[subset]
-        via_order = order_m[subset]
-        via_conj = stacked_m[e ^ subset]
+    # Entry E - S of a table is entry S of its reverse.
+    triples = zip(matroid.m, arr.order_basis_reports()[1], reversed(stacked[1]))
+    for subset, (direct, via_order, via_conj) in enumerate(triples):
         if not direct == via_order == via_conj:
             detail = (
                 f"multiplicity of {format_subset(subset)} disagrees across bases: "
@@ -407,13 +407,8 @@ def gcd_property(matroid: ArithmeticMatroid) -> tuple[bool, int | None]:
     collection.
     """
     rk, m = matroid.rk, matroid.m
-    for s in range(1 << matroid.size):
-        target = rk[s]
-        g = 0
-        for sub in submasks(s):
-            if sub.bit_count() == target and rk[sub] == target:
-                g = gcd(g, m[sub])
-        if m[s] != g:
+    for s, (target, mult) in enumerate(zip(rk, m)):
+        if mult != gcd(*(m[sub] for sub in submasks(s) if sub.bit_count() == target == rk[sub])):
             return False, s
     return True, None
 
@@ -427,9 +422,6 @@ class BiPoly(NamedTuple):
     def from_dict(cls, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
         cleaned = sorted((i, j, c) for (i, j), c in coeffs.items() if c != 0)
         return cls(tuple(cleaned))
-
-    def evaluate(self, v1: int, v2: int) -> int:
-        return sum(c * v1**i * v2**j for i, j, c in self.terms)
 
     def format(self, var1: str = "x", var2: str = "y") -> str:
         ordered = sorted(self.terms, key=lambda t: (-(t[0] + t[1]), -t[0]))
@@ -448,9 +440,9 @@ def tutte(matroid: ArithmeticMatroid) -> BiPoly:
     """
     r = matroid.full_rank
     buckets: dict[tuple[int, int], int] = {}
-    for s in range(1 << matroid.size):
-        key = (r - matroid.rk[s], s.bit_count() - matroid.rk[s])
-        buckets[key] = buckets.get(key, 0) + matroid.m[s]
+    for s, (rank, mult) in enumerate(zip(matroid.rk, matroid.m)):
+        key = (r - rank, s.bit_count() - rank)
+        buckets[key] = buckets.get(key, 0) + mult
     acc: dict[tuple[int, int], int] = {}
     for (p, q), w in buckets.items():
         for i in range(p + 1):
@@ -462,18 +454,15 @@ def tutte(matroid: ArithmeticMatroid) -> BiPoly:
 
 
 def char_poly(matroid: ArithmeticMatroid) -> tuple[int, ...]:
-    """Characteristic polynomial (-1)^r T(1-t, 0), coefficients ascending in t."""
+    """Arithmetic characteristic polynomial sum (-1)^|S| m(S) t^(r - rk S),
+    ascending in t (Moci, Trans. AMS 2012), over the S whose terms `tutte`
+    keeps: rk(S) <= |S| and rk(S) <= r, no exponent of T being negative."""
     r = matroid.full_rank
-    t_poly = tutte(matroid)
     coeffs = [0] * (r + 1)
-    for i, j, c in t_poly.terms:
-        if j:
-            continue
-        # (1-t)^i contributes comb(i, d) (-1)^d to t^d.
-        for d in range(i + 1):
-            coeffs[d] += c * comb(i, d) * (-1 if d & 1 else 1)
-    if r & 1:
-        coeffs = [-v for v in coeffs]
+    for s, (rank, mult) in enumerate(zip(matroid.rk, matroid.m)):
+        size = s.bit_count()
+        if rank <= size and rank <= r:
+            coeffs[r - rank] += -mult if size & 1 else mult
     return tuple(coeffs)
 
 
@@ -488,12 +477,15 @@ def poly_str(coeffs: tuple[int, ...], var: str = "t") -> str:
 def euler_characteristic(matroid: ArithmeticMatroid, ambient_n: int) -> int:
     """Euler characteristic of the arrangement complement in E^ambient_n.
 
-    For an essential arrangement (full rank equal to ambient_n) this is
-    (-1)^r T(1, 0); a non-essential complement fibers over a positive-
-    dimensional abelian factor and has Euler characteristic 0.
+    Inclusion-exclusion over the layers: one of positive dimension is a union
+    of abelian varieties, of Euler characteristic 0, so only the m(S) points
+    of each S of rank ambient_n = rk(E) count, with sign (-1)^|S|; otherwise
+    0.  The paper's identity with (-1)^r T(1, 0) is tested, not used.
     """
-    r = matroid.full_rank
-    if r != ambient_n:
+    if matroid.full_rank != ambient_n:
         return 0
-    value = tutte(matroid).evaluate(1, 0)
-    return -value if r & 1 else value
+    return sum(
+        -mult if s.bit_count() & 1 else mult
+        for s, (rank, mult) in enumerate(zip(matroid.rk, matroid.m))
+        if rank == ambient_n <= s.bit_count()
+    )

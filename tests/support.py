@@ -630,6 +630,11 @@ def tutte_per_subset(matroid) -> BiPoly:
     return BiPoly.from_dict(acc)
 
 
+def bipoly_eval(poly: BiPoly, x: int, y: int) -> int:
+    """The bivariate polynomial at (x, y), term by term."""
+    return sum(c * x**i * y**j for i, j, c in poly.terms)
+
+
 def poly_eval(coeffs: tuple[int, ...], value: int) -> int:
     """The polynomial of ascending coefficients at `value`, by Horner's rule."""
     out = 0

@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -128,3 +130,20 @@ def test_read_limit_holds_every_canonical_document():
         per_row = (length(200, n) - length(100, n)) / 100
         longest = length(100, n) + (ENTRY_LIMIT // max(n, 1) - 100) * per_row
         assert longest <= READ_LIMIT
+
+
+def test_over_long_regular_file_is_refused_unread(tmp_path):
+    # A regular file is refused from its size, so none of its READ_LIMIT + 1
+    # bytes is held in memory.  The file is sparse and takes no disk.
+    path = tmp_path / "long.json"
+    with open(path, "wb") as handle:
+        os.truncate(handle.fileno(), READ_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArrangementFormatError) as info:
+            load_arrangement(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: longer than the limit of {READ_LIMIT} bytes"
+    assert peak < 1 << 20

@@ -24,6 +24,7 @@ from ellmat import matroid as matroid_module
 from ellmat.arrangement import MAX_GROUND
 from support import (
     arrangement_corpus,
+    bipoly_eval,
     curve_sqrt3,
     curve_third_sqrt2,
     find_molecule,
@@ -402,7 +403,7 @@ def test_tutte_polynomial():
         (0, 1): 2,
     }
     assert t_poly.format("x", "y") == "x + 2*y + 5"
-    assert t_poly.evaluate(1, 1) == 8
+    assert bipoly_eval(t_poly, 1, 1) == 8
     assert tutte(_free_matroid(1)).format("x", "y") == "x"
     assert BiPoly.from_dict({}).format() == "0"
     assert BiPoly.from_dict({(0, 0): 0}).format() == "0"
@@ -424,7 +425,7 @@ def test_tutte_at_one_one_counts_weighted_bases():
             for s in range(1 << matroid.size)
             if s.bit_count() == r and matroid.rk[s] == r
         )
-        assert t_poly.evaluate(1, 1) == weighted
+        assert bipoly_eval(t_poly, 1, 1) == weighted
 
 
 def test_char_poly():
@@ -442,16 +443,37 @@ def test_char_poly():
 
 
 def test_char_poly_is_tutte_specialization():
-    for arr in arrangement_corpus(15, seed=62):
+    # The library sums over the tables by the definitions; the paper's
+    # identities chi(t) = (-1)^r T(1-t, 0) and, for rank n in E^n,
+    # euler = (-1)^r T(1, 0) are checked here.
+    rng = random.Random(62)
+    cases = []
+    for arr in arrangement_corpus():
         matroid = from_arrangement(arr)
         chi = char_poly(matroid)
+        assert len(chi) == matroid.full_rank + 1
+        # The subsets of rank 0 are those of the loops, zero rows with m = 1.
+        loops = [i for i in range(matroid.size) if matroid.rk[1 << i] == 0]
+        assert chi[-1] == (0 if loops else 1)
+        cases.append((matroid, arr.n))
+    # Tampered copies, ranks kept non-negative: both sides skip the same
+    # subsets, those with rk(S) > |S| or rk(S) > rk(E).
+    for matroid, n in cases[:60]:
+        rk, m = list(matroid.rk), list(matroid.m)
+        s = rng.randrange(len(rk))
+        rk[s] += 1 if rk[s] == 0 else rng.choice((-1, 1))
+        m[rng.randrange(len(m))] += rng.randint(1, 5)
+        cases.append((ArithmeticMatroid(matroid.size, tuple(rk), matroid.m), n))
+        cases.append((ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)), n))
+    for matroid, n in cases:
+        chi, t_poly = char_poly(matroid), tutte(matroid)
         r = matroid.full_rank
-        assert len(chi) == r + 1
-        assert chi[r] == 1
-        t_poly = tutte(matroid)
         sign = -1 if r & 1 else 1
         for t0 in (-2, -1, 0, 1, 3):
-            assert poly_eval(chi, t0) == sign * t_poly.evaluate(1 - t0, 0)
+            assert poly_eval(chi, t0) == sign * bipoly_eval(t_poly, 1 - t0, 0)
+        euler = sign * bipoly_eval(t_poly, 1, 0)
+        assert euler_characteristic(matroid, n) == (euler if r == n else 0)
+        assert euler_characteristic(matroid, r) == euler
 
 
 def test_euler_characteristic():
@@ -460,6 +482,9 @@ def test_euler_characteristic():
     point = ArithmeticMatroid(0, (0,), (1,))
     assert euler_characteristic(point, 0) == 1
     assert euler_characteristic(matroid, 2) == 0
+    # Ambient dimension below the rank: no subset of rank 0 is a point
+    # layer, although the empty set has rank 0.
+    assert euler_characteristic(matroid, 0) == 0
 
 
 def test_rho_nonnegative_on_corpus_molecules():
