@@ -458,7 +458,9 @@ def char_poly(matroid: ArithmeticMatroid) -> tuple[int, ...]:
     ascending in t (Moci, Trans. AMS 2012), over the S whose terms `tutte`
     keeps: rk(S) <= |S| and rk(S) <= r, no exponent of T being negative."""
     r = matroid.full_rank
-    coeffs = [0] * (r + 1)
+    # Kept exponents r - rk(S) are at most r, or r - min(rk) when a tampered
+    # table has a negative rank; a list of length <= 0 is empty.
+    coeffs = [0] * (r + 1 - min(0, min(matroid.rk)))
     for s, (rank, mult) in enumerate(zip(matroid.rk, matroid.m)):
         size = s.bit_count()
         if rank <= size and rank <= r:

@@ -3,9 +3,9 @@
 A lattice L = <1, tau> with tau = (a + b*omega)/c non-real determines the
 multiplier ring R = {z : z*L inside L}, which is an order in the imaginary
 quadratic field Q(sqrt(-m)).  R always has a Z-basis {1, N*tau} for a unique
-positive integer N, and every integer constant needed later (N, conductor,
-normalized trace and determinant of multiplication by tau) is derived once
-at construction time.
+positive integer N.  The package reads R through four integers, which
+make_curve derives once and CurveParams keeps: N, the trace gen_trace of
+N*tau, delta_prime (N*tau has norm N*delta_prime) and the conductor.
 
 All values are plain Python integers; nothing in this module, or anywhere
 else in the package, uses floating point.
@@ -87,37 +87,26 @@ def make_field(m: int) -> FieldParams:
 
 
 class CurveParams(NamedTuple):
-    """A lattice <1, tau>, tau = (a + b*omega)/c, with all derived constants.
+    """A lattice <1, tau>, tau = (a + b*omega)/c, and its multiplier ring.
 
-    trace_num and det_num are c*tr and c^2*det of multiplication by tau, so
-    both are integers.  With g = gcd(c, det_num), c = g*c_prime and
-    det_num = g*delta_prime, the multiplier ring is R = <1, N*tau> where
-    N = c^2/g = g*c_prime^2, and the primitive integer minimal polynomial
-    of tau is N*X^2 - (trace_num*c_prime)*X + delta_prime.  The conductor
-    is the index of R in the maximal order Z[omega].
+    The ring is kept as the four integers the package reads of it: N,
+    gen_trace, delta_prime and conductor.  make_curve derives them from the
+    integers trace_num = c*tr(tau), det_num = c^2*det(tau) and
+    g = gcd(c, det_num).  With c_prime = c/g the ring is R = <1, N*tau>,
+    N = g*c_prime^2 = c^2/g; its generator N*tau has trace
+    gen_trace = trace_num*c_prime and norm N*delta_prime, where
+    delta_prime = det_num/g.  The conductor, the index of R in the maximal
+    order Z[omega], is |b|*c_prime.
     """
 
     field: FieldParams
     a: int
     b: int
     c: int
-    trace_num: int
-    det_num: int
-    g: int
-    c_prime: int
-    delta_prime: int
     N: int
+    gen_trace: int
+    delta_prime: int
     conductor: int
-
-    @property
-    def gen_trace(self) -> int:
-        """Trace of the generator N*tau, equal to trace_num * c_prime."""
-        return self.trace_num * self.c_prime
-
-    @property
-    def gen_norm(self) -> int:
-        """Norm of the generator N*tau, equal to N * delta_prime."""
-        return self.N * self.delta_prime
 
     def tau_str(self) -> str:
         return f"({self.a} + {self.b}*omega)/{self.c}"
@@ -148,19 +137,14 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
         det_num = a * a + b * b * field.m
     g = gcd(c, det_num)
     c_prime = c // g
-    delta_prime = det_num // g
-    n = g * c_prime * c_prime
     curve = CurveParams(
         field=field,
         a=a,
         b=b,
         c=c,
-        trace_num=trace_num,
-        det_num=det_num,
-        g=g,
-        c_prime=c_prime,
-        delta_prime=delta_prime,
-        N=n,
+        N=g * c_prime * c_prime,
+        gen_trace=trace_num * c_prime,
+        delta_prime=det_num // g,
         conductor=abs(b) * c_prime,
     )
     # Content of the primitive minimal polynomial of tau is 1; everything
@@ -168,8 +152,6 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
     # on this, so fail loudly if it ever breaks, also under python -O.
     if gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) != 1:
         raise AssertionError("minimal polynomial of tau is not primitive")
-    if curve.N != c * c // g:
-        raise AssertionError("N differs from c^2/g")
     return curve
 
 
@@ -193,26 +175,12 @@ def format_terms(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(pieces) if pieces else "0"
 
 
-class _Quadratic(NamedTuple):
+class MinPoly(NamedTuple):
+    """Integer quadratic lead*X^2 + lin*X + const."""
+
     lead: int
     lin: int
     const: int
-
-
-# A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
-class IntQuadratic(_Quadratic):
-    """Primitive integer quadratic lead*X^2 + lin*X + const with negative discriminant."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))
-
-    def __new__(cls, lead: int, lin: int, const: int) -> "IntQuadratic":
-        poly = super().__new__(cls, lead, lin, const)
-        if gcd(gcd(lead, lin), const) != 1:
-            raise ParameterError("quadratic is not primitive")
-        if poly.discriminant >= 0:
-            raise ParameterError("discriminant must be negative")
-        return poly
 
     @property
     def discriminant(self) -> int:
@@ -222,10 +190,12 @@ class IntQuadratic(_Quadratic):
         return format_terms(((self.lead, "x^2"), (self.lin, "x"), (self.const, "")))
 
 
-def min_poly(curve: CurveParams) -> IntQuadratic:
+def min_poly(curve: CurveParams) -> MinPoly:
     """Primitive minimal polynomial of tau over Z.
 
-    Equals N times the rational minimal polynomial X^2 - tr(tau)*X + det(tau);
-    its content is 1 by the coprimality checked at curve construction.
+    Equals N times the rational minimal polynomial X^2 - tr(tau)*X + det(tau).
+    Its content is 1 by the coprimality make_curve asserts, and its
+    discriminant N^2*(tr(tau)^2 - 4*det(tau)) is negative because tau is
+    non-real.
     """
-    return IntQuadratic(curve.N, -curve.gen_trace, curve.delta_prime)
+    return MinPoly(curve.N, -curve.gen_trace, curve.delta_prime)

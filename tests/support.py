@@ -257,16 +257,16 @@ def union_point_count(matroid) -> int:
 
 
 def ring_mul(curve, u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Product of x + y*w pairs in R = <1, w>, from w^2 = gen_trace*w - gen_norm."""
+    """Product of x + y*w pairs in R = <1, w>, from w^2 = gen_trace*w - N*delta_prime."""
     (a, b), (c, d) = u, v
     bd = b * d
-    return (a * c - curve.gen_norm * bd, a * d + b * c + curve.gen_trace * bd)
+    return (a * c - curve.N * curve.delta_prime * bd, a * d + b * c + curve.gen_trace * bd)
 
 
 def ring_norm(curve, u: tuple[int, int]) -> int:
     """The rational integer u * conj(u) of the pair u = x + y*w."""
     x, y = u
-    return x * x + curve.gen_trace * x * y + curve.gen_norm * y * y
+    return x * x + curve.gen_trace * x * y + curve.N * curve.delta_prime * y * y
 
 
 def _ring_det(curve, rows: list[list[tuple[int, int]]]) -> tuple[int, int]:

@@ -209,6 +209,28 @@ def test_order_info(capsys):
     assert "conductor: 2" in out
     assert "minimal polynomial: 4*x^2 + 1" in out
     assert "discriminant: -16" in out
+    # The whole report, byte for byte, on curves with N = 4, N = 1 at
+    # conductor 2, and N = 9 with a nonzero trace.
+    expected = {
+        ("--m", "1", "--tau", "0,1,2"): [
+            "m: 1", "omega: sqrt(-1)", "tau: (0 + 1*omega)/2", "N: 4",
+            "endomorphism ring: Z[1, N*tau]", "conductor: 2",
+            "minimal polynomial: 4*x^2 + 1", "discriminant: -16",
+        ],
+        ("--m", "3", "--tau=-1,2,1"): [
+            "m: 3", "omega: (1 + sqrt(-3))/2", "tau: (-1 + 2*omega)/1", "N: 1",
+            "endomorphism ring: Z[1, N*tau]", "conductor: 2",
+            "minimal polynomial: x^2 + 3", "discriminant: -12",
+        ],
+        ("--m", "7", "--tau=1,1,3"): [
+            "m: 7", "omega: (1 + sqrt(-7))/2", "tau: (1 + 1*omega)/3", "N: 9",
+            "endomorphism ring: Z[1, N*tau]", "conductor: 3",
+            "minimal polynomial: 9*x^2 - 9*x + 4", "discriminant: -63",
+        ],
+    }
+    for args, lines in expected.items():
+        text = "".join(f"{line}\n" for line in lines)
+        assert run_cli(capsys, "order-info", *args) == (0, text, "")
 
 
 def test_order_info_large_prime_is_quick(capsys):

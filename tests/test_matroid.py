@@ -440,6 +440,10 @@ def test_char_poly():
     assert poly_str((2, 0, -1), "q") == "-q^2 + 2"
     assert poly_str((1, 3, 0, -1)) == "-t^3 + 3*t + 1"
     assert char_poly(_free_matroid(1)) == (-1, 1)
+    # Tampered tables with a negative rank: rk(empty) = -1 gives t - 1 at
+    # rk(E) = 0, and rk(E) = -1 keeps only E itself.
+    assert char_poly(ArithmeticMatroid(1, (-1, 0), (1, 1))) == (-1, 1)
+    assert char_poly(ArithmeticMatroid(2, (0, 1, 1, -1), (1, 1, 1, 1))) == (1,)
 
 
 def test_char_poly_is_tutte_specialization():
@@ -456,12 +460,12 @@ def test_char_poly_is_tutte_specialization():
         loops = [i for i in range(matroid.size) if matroid.rk[1 << i] == 0]
         assert chi[-1] == (0 if loops else 1)
         cases.append((matroid, arr.n))
-    # Tampered copies, ranks kept non-negative: both sides skip the same
+    # Tampered copies, negative ranks included: both sides skip the same
     # subsets, those with rk(S) > |S| or rk(S) > rk(E).
     for matroid, n in cases[:60]:
         rk, m = list(matroid.rk), list(matroid.m)
         s = rng.randrange(len(rk))
-        rk[s] += 1 if rk[s] == 0 else rng.choice((-1, 1))
+        rk[s] += rng.choice((-1, 1))
         m[rng.randrange(len(m))] += rng.randint(1, 5)
         cases.append((ArithmeticMatroid(matroid.size, tuple(rk), matroid.m), n))
         cases.append((ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)), n))

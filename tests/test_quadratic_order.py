@@ -12,7 +12,7 @@ from ellmat import (
     min_poly,
 )
 from ellmat.linalg import conj_transpose
-from ellmat.quadratic_order import IntQuadratic
+from ellmat.quadratic_order import MinPoly
 from support import (
     curve_half_i,
     curve_omega3,
@@ -90,8 +90,7 @@ def test_is_square_free_near_the_cube_root():
 
 def test_make_curve_sqrt_minus_three():
     curve = curve_sqrt3()
-    assert (curve.trace_num, curve.det_num) == (0, 3)
-    assert (curve.g, curve.c_prime, curve.delta_prime) == (1, 1, 3)
+    assert (curve.gen_trace, curve.delta_prime) == (0, 3)
     assert curve.N == 1
     assert curve.conductor == 2
 
@@ -100,16 +99,15 @@ def test_make_curve_omega():
     curve = curve_omega3()
     assert curve.N == 1
     assert curve.conductor == 1
-    assert (curve.trace_num, curve.det_num) == (1, 1)
+    assert (curve.gen_trace, curve.delta_prime) == (1, 1)
 
 
 def test_make_curve_half_i():
     curve = curve_half_i()
-    assert curve.det_num == 1
-    assert curve.g == 1
     assert curve.N == 4
-    # R = <1, N*tau> = <1, 2i>
-    assert curve.gen_norm == 4
+    assert curve.conductor == 2
+    # R = <1, N*tau> = <1, 2i>, and 2i has norm N*delta_prime = 4.
+    assert curve.delta_prime == 1
     assert curve.gen_trace == 0
 
 
@@ -136,32 +134,10 @@ def test_min_poly_values():
     assert (min_poly(curve_half_i()).lead, min_poly(curve_half_i()).lin, min_poly(curve_half_i()).const) == (4, 0, 1)
     assert str(min_poly(curve_sqrt3())) == "x^2 + 3"
     assert str(min_poly(curve_omega3())) == "x^2 - x + 1"
-    assert str(IntQuadratic(-1, 0, -1)) == "-x^2 - 1"
-    assert str(IntQuadratic(2, 1, 3)) == "2*x^2 + x + 3"
-    assert str(IntQuadratic(-3, -1, -5)) == "-3*x^2 - x - 5"
-
-
-def test_int_quadratic_validation():
-    with pytest.raises(ParameterError, match="quadratic is not primitive"):
-        IntQuadratic(2, 0, 2)
-    with pytest.raises(ParameterError, match="discriminant must be negative"):
-        IntQuadratic(1, 0, -1)
-    with pytest.raises(ParameterError, match="discriminant must be negative"):
-        IntQuadratic(lead=1, lin=2, const=1)
-    assert IntQuadratic(1, 0, 3).discriminant == -12
-    with pytest.raises(ParameterError, match="quadratic is not primitive"):
-        IntQuadratic(1, 0, 3)._replace(lead=3)
-
-
-def test_min_poly_has_tau_as_root_numerically():
-    # Oracle on the complex side: tau computed from (a + b*omega)/c must be
-    # a root of the integer polynomial to floating precision.
-    for curve in (curve_sqrt3(), curve_omega3(), curve_half_i(), curve_third_sqrt2()):
-        m = curve.field.m
-        omega = (1 + 1j * m**0.5) / 2 if curve.field.half_integral else 1j * m**0.5
-        tau = (curve.a + curve.b * omega) / curve.c
-        poly = min_poly(curve)
-        assert abs(poly.lead * tau * tau + poly.lin * tau + poly.const) < 1e-12
+    assert min_poly(curve_sqrt3()).discriminant == -12
+    assert str(MinPoly(-1, 0, -1)) == "-x^2 - 1"
+    assert str(MinPoly(2, 1, 3)) == "2*x^2 + x + 3"
+    assert str(MinPoly(-3, -1, -5)) == "-3*x^2 - x - 5"
 
 
 def _valid_triples():
@@ -184,9 +160,27 @@ def test_derived_constants_invariants():
     for field, a, b, c in _valid_triples():
         curve = make_curve(field, a, b, c)
         assert gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) == 1
-        assert curve.N == curve.g * curve.c_prime**2
         assert curve.conductor >= 1
+
+
+def test_min_poly_has_tau_as_root_exactly():
+    # With c^2 cleared, tau = (a + b*omega)/c is a root when
+    # N*(a + b*omega)^2 - gen_trace*c*(a + b*omega) + delta_prime*c^2 = 0,
+    # computed on pairs x + y*omega of Z[omega] from omega's own relation.
+    for field, a, b, c in _valid_triples():
+        curve = make_curve(field, a, b, c)
+        if field.half_integral:
+            square = (a * a - b * b * field.m_prime, 2 * a * b + b * b)
+        else:
+            square = (a * a - b * b * field.m, 2 * a * b)
         poly = min_poly(curve)
+        assert (poly.lead, poly.lin, poly.const) == (curve.N, -curve.gen_trace, curve.delta_prime)
+        value = (
+            poly.lead * square[0] + poly.lin * c * a + poly.const * c * c,
+            poly.lead * square[1] + poly.lin * c * b,
+        )
+        assert value == (0, 0), (field.m, a, b, c)
+        assert gcd(gcd(poly.lead, poly.lin), poly.const) == 1
         assert poly.discriminant < 0
 
 
