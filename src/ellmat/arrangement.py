@@ -59,27 +59,31 @@ kept, since one can be D itself.  At D = 1 the quotient is trivial, and
 every subset of the subtree has rank n and multiplicity 1 with no
 arithmetic at all.
 
-Every walk returns the pair (rk, m) of int tuples, the rank and the
-multiplicity of each subset it visits, the shape `ArithmeticMatroid`
-takes, and computes it afresh on every call: an arrangement caches no
-table and never changes.  `reports()` is the walk over all 2^k subsets in
-ascending bitmask order.  `superset_reports(fixed)` walks the subsets
-containing `fixed`, whose rows are inserted first as a shared prefix.
-`order_basis_reports()` walks the expansion over the R-basis {1, N*tau}
-instead, which gives the same multiplicities from a different integer
-matrix.  `torsion_chains()` is the walk of `reports()` that also keeps
-the invariant factors above 1 of every subset, m(S) being their product.
-A walk over more than MAX_GROUND free divisors is refused when it is
-called, before any insertion.
+An arrangement holds only its matrix, and each walk expands the rows it
+walks when it is called: an arrangement caches no expansion and no table,
+and never changes.  Every walk fills two tables of the subsets it covers,
+the ranks and one measure of the torsion, both prefilled with the values
+of index 1 (rank n, no torsion), so it never visits the subsets below a
+node of index 1.  `reports()` is the walk over all 2^k subsets in
+ascending bitmask order, measuring the multiplicity; its pair (rk, m) of
+int tuples is the shape `ArithmeticMatroid` takes.
+`superset_reports(fixed)` walks the subsets containing `fixed`, whose
+rows are inserted first as a shared prefix.  `order_basis_reports()`
+walks the expansion over the R-basis {1, N*tau} instead, which gives the
+same multiplicities from a different integer matrix.  `torsion_chains()`
+is the walk of `reports()` measuring the invariant factors above 1 of
+every subset, m(S) being their product.  A walk over more than
+MAX_GROUND free divisors is refused when it is called, before its rows
+are expanded.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Iterator
+from typing import Callable
 
 from .linalg import RingMatrix, conj_transpose, expand_lambda, expand_order, smith_form
-from .quadratic_order import ParameterError
+from .quadratic_order import CurveParams, ParameterError
 
 # The rank and the multiplicity tables of a run of subsets.
 Tables = tuple[tuple[int, ...], tuple[int, ...]]
@@ -156,13 +160,28 @@ def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
     return projected, [(project(top), project(bottom)) for top, bottom in pairs]
 
 
+def _multiplicity(rows: list, det: int) -> int:
+    """m of a walked node: its index at full rank, else the product of the
+    Smith form of its basis; an empty basis leaves a free quotient."""
+    return det or (prod(smith_form(rows)) if rows else 1)
+
+
+def _chain(rows: list, det: int) -> tuple[int, ...]:
+    """The invariant factors above 1 of a walked node's cokernel torsion."""
+    # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
+    return () if det == 1 else tuple(d for d in smith_form(rows) if d > 1)
+
+
 class EllipticArrangement:
-    """k divisors in E^n with their lattice expansion; every table is walked afresh."""
+    """k divisors in E^n, held as their matrix only; each walk expands the
+    rows it walks and fills its tables afresh, prefilled below index 1."""
 
     def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
-        self.curve = matrix.curve
-        self._expansion_rows = expand_lambda(matrix)
+
+    @property
+    def curve(self) -> CurveParams:
+        return self.matrix.curve
 
     @property
     def k(self) -> int:
@@ -172,38 +191,40 @@ class EllipticArrangement:
     def n(self) -> int:
         return self.matrix.n
 
-    def _walk(self, expansion: list, fixed: int = 0) -> Iterator[tuple[int, int, list, int]]:
-        """The echelon walk of the 2k `expansion` rows over the subsets
-        containing `fixed`.
+    def _walk(self, expand: Callable, fixed: int, measure: Callable) -> tuple[tuple, tuple]:
+        """The rank table and the `measure` table of the subsets containing
+        `fixed`, from one echelon walk of the 2k rows `expand(self.matrix)`.
 
-        Yields (narrow, rk, rows, det) once per subset: `narrow` is the
-        bitmask of the subset's divisors outside `fixed`, renumbered in
-        ascending order, so the subset itself when `fixed` is 0; `rk` is its
-        rank; `rows` is an echelon basis of its row lattice in Z^2n or, below
-        a projected node, of the image of that lattice in the node's quotient
-        coordinates Z^w, so it can have fewer than 2*rk rows; `det` is the
-        lattice's index when it has full rank n, else 0.
+        Entry `narrow` is the subset whose divisors outside `fixed` are the
+        bits of `narrow`, renumbered in ascending order, so the subset itself
+        when `fixed` is 0.  Each visited node gets measure(rows, det): `rows`
+        is an echelon basis of its row lattice in Z^2n or, below a projected
+        node, of the image of that lattice in the node's quotient coordinates
+        Z^w; `det` is the lattice's index when it has full rank n, else 0.
+        The subsets below a node of index 1 keep the prefill, rank n and
+        measure([], 1).
         """
         n, k = self.n, self.k
         free = k - fixed.bit_count()
         if free > MAX_GROUND:
             raise ParameterError(f"ground set of {free} elements exceeds the cap of {MAX_GROUND}")
+        expansion = expand(self.matrix)
         # The bits of `fixed`, read once: a shift per bit would cost O(k^2).
         inside = f"{fixed:0{k}b}"[::-1]
         pairs = [(expansion[j], expansion[k + j]) for j in range(k) if inside[j] == "0"]
+        rk, values = [n] * (1 << free), [measure([], 1)] * (1 << free)
 
-        def rec(narrow: int, bit: int, basis: list, pairs: list) -> Iterator:
+        def rec(narrow: int, bit: int, basis: list, pairs: list) -> None:
             rows = [b for b in basis if b is not None]
             # Every column projected away held a unit pivot.
             rank2 = 2 * n - len(basis) + len(rows)
             if rank2 % 2:
                 raise AssertionError("lattice expansions of order maps have even rank")
             det = abs(prod(b[c] for c, b in enumerate(basis))) if rank2 == 2 * n else 0
-            yield narrow, rank2 // 2, rows, det
+            rk[narrow], values[narrow] = rank2 // 2, measure(rows, det)
             if det == 1:
-                # The quotient is trivial here, so it is at every superset.
-                for sub in range(1, 1 << len(pairs)):
-                    yield narrow | sub << bit, n, [], 1
+                # The quotient is trivial here and at every superset, which
+                # keep the prefill.
                 return
             if len(pairs) >= 2:
                 basis, pairs = _project(basis, pairs, det)
@@ -211,27 +232,15 @@ class EllipticArrangement:
                 child = basis.copy()
                 _insert(child, top)
                 _insert(child, bottom)
-                yield from rec(narrow | 1 << bit + i, bit + i + 1, child, pairs[i + 1 :])
+                rec(narrow | 1 << bit + i, bit + i + 1, child, pairs[i + 1 :])
 
         root: list = [None] * (2 * n)
         for j in range(k):
             if inside[j] == "1":
                 _insert(root, expansion[j])
                 _insert(root, expansion[k + j])
-        return rec(0, 0, root, pairs)
-
-    def _tabulate(self, expansion: list[list[int]], fixed: int) -> Tables:
-        """`superset_reports(fixed)` computed from the 2k `expansion` rows."""
-        # The call checks the cap before the tables are allocated.
-        walk = self._walk(expansion, fixed)
-        size = 1 << (self.k - fixed.bit_count())
-        rk, m = [0] * size, [1] * size
-        for narrow, r, rows, det in walk:
-            if rows and not det:
-                det = prod(smith_form(rows))
-            # An empty basis leaves a free quotient, without torsion.
-            rk[narrow], m[narrow] = r, det or 1
-        return tuple(rk), tuple(m)
+        rec(0, 0, root, pairs)
+        return tuple(rk), tuple(values)
 
     def superset_reports(self, fixed: int) -> Tables:
         """The (rk, m) tables of the subsets containing `fixed`, computed afresh.
@@ -241,30 +250,24 @@ class EllipticArrangement:
         """
         if not 0 <= fixed < 1 << self.k:
             raise ParameterError(f"subset {fixed:#x} out of range for {self.k} divisors")
-        return self._tabulate(self._expansion_rows, fixed)
+        return self._walk(expand_lambda, fixed, _multiplicity)
 
     def reports(self) -> Tables:
         """The (rk, m) tables of all subsets in ascending bitmask order."""
-        return self.superset_reports(0)
+        return self._walk(expand_lambda, 0, _multiplicity)
 
     def order_basis_reports(self) -> Tables:
         """The (rk, m) tables of all subsets recomputed afresh by the walk of
         the R-basis expansion instead of the lattice expansion, in ascending
         bitmask order."""
-        return self._tabulate(expand_order(self.matrix), 0)
+        return self._walk(expand_order, 0, _multiplicity)
 
     def torsion_chains(self) -> tuple[Tables, tuple[tuple[int, ...], ...]]:
         """The (rk, m) tables of `reports()` and the invariant factors above 1
         of each subset's cokernel torsion, in ascending bitmask order, from
         one walk; m(S) is the product of the factors of S."""
-        walk = self._walk(self._expansion_rows)
-        rk, chains = [0] * (1 << self.k), [()] * (1 << self.k)
-        for subset, r, rows, det in walk:
-            rk[subset] = r
-            # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
-            if det != 1:
-                chains[subset] = tuple(d for d in smith_form(rows) if d > 1)
-        return (tuple(rk), tuple(map(prod, chains))), tuple(chains)
+        rk, chains = self._walk(expand_lambda, 0, _chain)
+        return (rk, tuple(map(prod, chains))), chains
 
     def __repr__(self) -> str:
         return f"EllipticArrangement(k={self.k}, n={self.n}, m={self.curve.field.m})"

@@ -242,8 +242,8 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
       rank-constant for the dual exactly when rk(Y) - rk(X) = |Y - X|, and
       its rho is g(X, Y), so no dual tables are built.
 
-    Violations are reported by Y ascending, then X descending, and those
-    of (P2) in the order a scan of the dual would find them.
+    Violations are reported by Y ascending, then X descending, [X, Y] being
+    the interval each names: for (P2), the interval [E - Y, E - X] of the dual.
     """
     rk, m = matroid.rk, matroid.m
     e = matroid.ground_mask
@@ -262,7 +262,7 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     a2: list[Violation] = []
     p: list[Violation] = []
     p1: list[Violation] = []
-    dual_hits: list[tuple[int, int, int]] = []
+    p2: list[Violation] = []
 
     def expand(table: list[int], top: int, high_x: int, high_y: int) -> None:
         if top > leaf:
@@ -298,23 +298,19 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
                     detail = f"rho = {signed} < 0 on rank-constant {_span(x, y)}"
                     p1.append(Violation("p1", (x, y), detail))
             if ry - rx == diff.bit_count() and value < 0:
-                dual_hits.append((e ^ y, e ^ x, value))
+                detail = f"rho = {value} < 0 on rank-constant {_span(e ^ y, e ^ x)} (dual)"
+                p2.append(Violation("p2", (e ^ y, e ^ x), detail))
 
     expand(list(m), matroid.size, 0, 0)
-    for found in (a2, p, p1):
+    for found in (a2, p, p1, p2):
         found.sort(key=lambda v: (v.subsets[1], -v.subsets[0]))
-    dual_hits.sort(key=lambda hit: (hit[1], -hit[0]))
-    p2 = tuple(
-        Violation("p2", (x, y), f"rho = {value} < 0 on rank-constant {_span(x, y)} (dual)")
-        for x, y, value in dual_hits
-    )
     differs = (not p) != (not (a2 or p1 or p2))
     mismatch = Violation("p-equivalence", (), "(P) verdict differs from (A2) and (P1) and (P2)")
     return {
         "a2": tuple(a2),
         "p": tuple(p),
         "p1": tuple(p1),
-        "p2": p2,
+        "p2": tuple(p2),
         "p-equivalence": (mismatch,) if differs else (),
     }
 

@@ -335,9 +335,23 @@ def _count_projections(monkeypatch) -> list[int]:
     return calls
 
 
+def _visits(arr: EllipticArrangement) -> tuple[list, tuple]:
+    """The (rows, det) of every node the walk of `reports()` visits, in
+    order, and the tables it returns."""
+    calls: list = []
+
+    def spy(rows, det):
+        calls.append((rows, det))
+        return ellmat.arrangement._multiplicity(rows, det)
+
+    tables = arr._walk(expand_lambda, 0, spy)
+    # The first call makes the prefill.
+    return calls[1:], tables
+
+
 def _fills(arr: EllipticArrangement) -> int:
-    """The subsets the walk fills in below an index-1 node without a basis."""
-    return sum(1 for _, _, rows, det in arr._walk(arr._expansion_rows) if det == 1 and not rows)
+    """The subsets the walk leaves at the prefill, below an index-1 node."""
+    return (1 << arr.k) - len(_visits(arr)[0])
 
 
 def test_walk_takes_both_quotient_branches(monkeypatch):
@@ -363,23 +377,22 @@ def test_walk_takes_both_quotient_branches(monkeypatch):
 def test_walk_edge_cases_of_the_quotient():
     gauss = curve_gauss()
     # n = 0: the root's empty basis has full rank and index 1, so its
-    # subtree is filled in.
+    # subtree keeps the prefill.
     no_columns = EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ())))
-    assert list(no_columns._walk(no_columns._expansion_rows)) == [
-        (s, 0, [], 1) for s in range(8)
-    ]
+    assert _visits(no_columns) == ([([], 1)], ((0,) * 8, (1,) * 8))
     assert no_columns.reports() == ((0,) * 8, (1,) * 8)
     nothing = EllipticArrangement(RingMatrix(gauss, 0, 0, ()))
-    assert list(nothing._walk(nothing._expansion_rows)) == [(0, 0, [], 1)]
+    assert _visits(nothing) == ([([], 1)], ((0,), (1,)))
     # k = 0 in the plane: the root is rank-deficient and has no children.
     no_rows = EllipticArrangement(RingMatrix(gauss, 0, 2, ()))
-    assert list(no_rows._walk(no_rows._expansion_rows)) == [(0, 0, [], 0)]
+    assert _visits(no_rows) == ([([], 0)], ((0,), (1,)))
     assert no_rows.torsion_chains() == (((0,), (1,)), ((),))
-    # A unit divisor makes L = Z^2 at once; the second subset is filled in.
+    # A unit divisor makes L = Z^2 at once; the second subset keeps the prefill.
     unit = EllipticArrangement(RingMatrix.from_pairs(gauss, [[(1, 0)], [(3, 1)]]))
-    walk = list(unit._walk(unit._expansion_rows))
-    assert [(s, r, det) for s, r, _, det in walk] == [(0, 0, 0), (1, 1, 1), (3, 1, 1), (2, 1, 10)]
-    assert walk[2][2] == []
+    assert _visits(unit) == (
+        [([], 0), ([[1, 0], [0, 1]], 1), ([[1, 3], [0, 10]], 10)],
+        ((0, 1, 1, 1), (1, 1, 10, 1)),
+    )
 
 
 def test_every_walk_is_capped():
@@ -412,9 +425,15 @@ def test_superset_walk_is_linear_in_the_fixed_width():
     assert time.monotonic() - start < 2.0
 
 
-def test_walk_raises_on_odd_rank():
+def test_walk_raises_on_odd_rank(monkeypatch):
     arr = new_realization_sqrt3()
-    arr._expansion_rows[arr.k] = [0] * (2 * arr.n)
+
+    def odd(matrix):
+        rows = expand_lambda(matrix)
+        rows[arr.k] = [0] * (2 * arr.n)
+        return rows
+
+    monkeypatch.setattr(ellmat.arrangement, "expand_lambda", odd)
     with pytest.raises(AssertionError, match="even rank"):
         arr.reports()
 

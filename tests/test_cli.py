@@ -14,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ellmat import EllipticArrangement, cli, fileio
+import ellmat.arrangement
+from ellmat import EllipticArrangement, cli, fileio, from_arrangement
 from support import FIXTURE_OMEGA_DOC, FIXTURE_SQRT3_DOC
 
 
@@ -76,9 +77,9 @@ def test_analyze_walks_once(sqrt3_file, capsys, monkeypatch):
     calls = [0]
     original = EllipticArrangement._walk
 
-    def counted(self, expansion, fixed=0):
+    def counted(self, *args):
         calls[0] += 1
-        return original(self, expansion, fixed)
+        return original(self, *args)
 
     monkeypatch.setattr(EllipticArrangement, "_walk", counted)
     for flags in ((), ("--json",)):
@@ -200,6 +201,34 @@ def test_dual_command(sqrt3_file, tmp_path, capsys):
     emitted = json.loads(out_path.read_text())
     assert emitted["matrix"]["rows"] == 3
     assert emitted["matrix"]["entries"][2] == [[2, 0], [1, -1]]
+    # The saved stacked arrangement realizes the dual: contracting T = {3}
+    # gives the dual tables of A, and it passes every check itself.
+    stacked = fileio.load_arrangement(str(out_path))
+    dual = from_arrangement(fileio.load_arrangement(sqrt3_file)).dual()
+    assert from_arrangement(stacked).contraction(0b100) == dual
+    assert run_cli(capsys, "verify", str(out_path))[0] == 0
+
+
+def test_commands_expand_only_what_they_walk(sqrt3_file, tmp_path, capsys, monkeypatch):
+    calls = [0]
+    original = ellmat.arrangement.expand_lambda
+
+    def counted(matrix):
+        calls[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(ellmat.arrangement, "expand_lambda", counted)
+    random_args = ("--k", "3", "--n", "2", "--m", "1", "--tau", "0,1,1", "--bound", "3")
+    # dual walks A only; the stacked arrangement is printed and saved.
+    # random writes a matrix it never walks; verify walks A and the stacked one.
+    for args, expected in (
+        (("dual", sqrt3_file, "--emit-arrangement", str(tmp_path / "stacked.json")), 1),
+        (("random", *random_args, "--seed", "1", "--out", str(tmp_path / "random.json")), 0),
+        (("verify", sqrt3_file), 2),
+    ):
+        calls[0] = 0
+        assert run_cli(capsys, *args)[0] == 0
+        assert calls[0] == expected, args
 
 
 def test_order_info(capsys):
