@@ -18,9 +18,9 @@ subset S; a child adds one divisor j beyond the last one added, so every
 subset is visited once.  The walk carries an echelon basis of the row
 lattice L(S) in Z^2n spanned by the selected expansion rows, and a step
 inserts the two expansion rows of divisor j by unimodular extended-gcd
-row operations.  The torsion of the cokernel depends on that lattice
-alone, and so does the rest of the subtree below S, which sees L(S)
-only through the quotient Z^2n/L(S).
+row operations (`linalg.echelon_insert`).  The torsion of the cokernel
+depends on that lattice alone, and so does the rest of the subtree below
+S, which sees L(S) only through the quotient Z^2n/L(S).
 
 The walk shrinks that quotient to the columns that can still carry
 something.  Let U be the columns of the unit pivots (+-1) of the basis
@@ -43,9 +43,9 @@ unchanged.  Then, in the current coordinates:
 
 - a full-rank basis (as many rows as columns) has m(S) = |product of its
   pivots|, the index of L(S), with no Smith form;
-- a rank-deficient basis gets a Smith form of its at most 2n rows, as
-  does every basis of index other than 1 for the torsion chains, which
-  only `torsion_chains` computes; an empty one has m(S) = 1.
+- a rank-deficient basis of r rows has m(S) = the index in Z^r of the
+  lattice its columns span, with no Smith form; an empty one has m(S) = 1;
+- only `torsion_chains` takes Smith forms, of every basis of index not 1.
 
 Insertion never reduces; the projection is the walk's only reduction.
 At a full-rank node of index D it keeps the t non-unit pivot columns and
@@ -79,10 +79,18 @@ are expanded.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import prod
 from typing import Callable
 
-from .linalg import RingMatrix, conj_transpose, expand_lambda, expand_order, smith_form
+from .linalg import (
+    RingMatrix,
+    conj_transpose,
+    echelon_basis,
+    echelon_insert,
+    expand_lambda,
+    expand_order,
+    smith_form,
+)
 from .quadratic_order import CurveParams, ParameterError
 
 # The rank and the multiplicity tables of a run of subsets.
@@ -91,40 +99,6 @@ Tables = tuple[tuple[int, ...], tuple[int, ...]]
 # The tables have 2^k entries and every verifier is exhaustive, so walks
 # over larger ground sets are refused.
 MAX_GROUND = 20
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a not dividing b."""
-    g = gcd(a, b)
-    # a does not divide b, so |a/g| >= 2 and b/g is invertible modulo it.
-    t = pow(b // g, -1, abs(a // g))
-    return g, (g - t * b) // a, t
-
-
-def _insert(basis: list, v: list[int]) -> None:
-    """Add the row v to the echelon basis, in place.
-
-    basis[c] is the row whose first nonzero entry, its pivot, is in column
-    c, or None.  Rows are replaced, never mutated, so a copied basis list
-    shares them safely.
-    """
-    for c in range(len(v)):
-        x = v[c]
-        if not x:
-            continue
-        b = basis[c]
-        if b is None:
-            basis[c] = v
-            return
-        a = b[c]
-        if x % a == 0:
-            q = x // a
-            v = [vi - q * bi for bi, vi in zip(b, v)]
-        else:
-            g, s, t = _xgcd(a, x)
-            p, q = a // g, x // g
-            basis[c] = [s * bi + t * vi for bi, vi in zip(b, v)]
-            v = [p * vi - q * bi for bi, vi in zip(b, v)]
 
 
 def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
@@ -160,10 +134,18 @@ def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
     return projected, [(project(top), project(bottom)) for top, bottom in pairs]
 
 
+def _column_index(rows: list) -> int:
+    """The index in Z^r of the lattice spanned by the columns of r echelon
+    `rows`: the order of the torsion of Z^w modulo their row lattice."""
+    # Bottom row first, the column of each row's pivot fills an empty slot.
+    columns = echelon_basis(zip(*reversed(rows)), len(rows))
+    return abs(prod(b[i] for i, b in enumerate(columns)))
+
+
 def _multiplicity(rows: list, det: int) -> int:
-    """m of a walked node: its index at full rank, else the product of the
-    Smith form of its basis; an empty basis leaves a free quotient."""
-    return det or (prod(smith_form(rows)) if rows else 1)
+    """m of a walked node: its index at full rank, else the index of the
+    column lattice of its basis; an empty basis leaves a free quotient."""
+    return det or (_column_index(rows) if rows else 1)
 
 
 def _chain(rows: list, det: int) -> tuple[int, ...]:
@@ -230,16 +212,12 @@ class EllipticArrangement:
                 basis, pairs = _project(basis, pairs, det)
             for i, (top, bottom) in enumerate(pairs):
                 child = basis.copy()
-                _insert(child, top)
-                _insert(child, bottom)
+                echelon_insert(child, top)
+                echelon_insert(child, bottom)
                 rec(narrow | 1 << bit + i, bit + i + 1, child, pairs[i + 1 :])
 
-        root: list = [None] * (2 * n)
-        for j in range(k):
-            if inside[j] == "1":
-                _insert(root, expansion[j])
-                _insert(root, expansion[k + j])
-        rec(0, 0, root, pairs)
+        fixed_rows = (expansion[j + h] for j in range(k) if inside[j] == "1" for h in (0, k))
+        rec(0, 0, echelon_basis(fixed_rows, 2 * n), pairs)
         return tuple(rk), tuple(values)
 
     def superset_reports(self, fixed: int) -> Tables:

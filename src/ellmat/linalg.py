@@ -14,94 +14,85 @@ is a plain (x, y) pair of ints meaning x + y*w, and integer matrices are
 plain lists of rows, so the expansions, the echelon bases of `arrangement`
 and the Smith form all share one shape.
 
-Smith normal form is computed by elimination with the smallest-magnitude
-pivot, entirely over Python integers.  Matrices here stay small: the
-subset walk of `arrangement` hands it echelon bases of at most 2n rows.
+One integer elimination, `echelon_insert` (exact and extended-gcd row
+steps over Python integers), builds the echelon bases of the walk of
+`arrangement` and the alternating row and column passes of `smith_form`.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .quadratic_order import CurveParams, ParameterError
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) > 0 and s*a + t*b = g, for a not dividing b."""
+    g = gcd(a, b)
+    # a does not divide b, so |a/g| >= 2 and b/g is invertible modulo it.
+    t = pow(b // g, -1, abs(a // g))
+    return g, (g - t * b) // a, t
+
+
+def echelon_insert(basis: list, v) -> None:
+    """Add the row v, any sequence, to the echelon basis, in place.
+
+    basis[c] is the row whose first nonzero entry, its pivot, is in column
+    c, or None.  Rows are replaced, never mutated, so a copied basis list
+    shares them safely.
+    """
+    for c in range(len(v)):
+        x = v[c]
+        if not x:
+            continue
+        b = basis[c]
+        if b is None:
+            basis[c] = v
+            return
+        a = b[c]
+        if x % a == 0:
+            q = x // a
+            v = [vi - q * bi for bi, vi in zip(b, v)]
+        else:
+            g, s, t = _xgcd(a, x)
+            p, q = a // g, x // g
+            basis[c] = [s * bi + t * vi for bi, vi in zip(b, v)]
+            v = [p * vi - q * bi for bi, vi in zip(b, v)]
+
+
+def echelon_basis(rows: Iterable, width: int) -> list:
+    """The echelon basis of the lattice that `rows` span in Z^width: entry
+    c is the row with its pivot in column c, or None."""
+    basis: list = [None] * width
+    for v in rows:
+        echelon_insert(basis, v)
+    return basis
+
+
 def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... | d_r of the integer row list
     `matrix`, a map Z^cols -> Z^rows of rank r = len(result); the rows are
-    copied, never changed.
+    never changed.
 
-    Repeatedly moves the smallest nonzero entry of the trailing block into
-    pivot position, clears its column and then its row by exact or
-    Euclidean steps, and folds any entry the pivot does not divide back
-    into the pivot row, so the diagonal comes out as a divisibility chain
-    directly.  Once the column is clear a column step changes the pivot
-    row alone, and a unit pivot, dividing everything, skips the fold.
+    Echelon passes alternate over the rows and the columns (Kannan & Bachem,
+    SIAM J. Comput. 1979) until each row has one nonzero entry.  A pass's
+    leading pivot is the gcd of its column, so its magnitude never grows,
+    and it falls unless it divides its row and its column; once it does,
+    one pass clears both and no later pass touches them, and the same holds
+    for the trailing block.  Pairwise (gcd, lcm) steps then make the
+    diagonal a divisibility chain.
     """
-    a = [list(r) for r in matrix]
-    rows, cols = len(a), len(a[0]) if a else 0
-    factors: list[int] = []
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # Smallest-magnitude nonzero entry of the trailing block.
-        best = 0
-        pi = pj = -1
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                v = ai[j]
-                if v != 0:
-                    if v < 0:
-                        v = -v
-                    if best == 0 or v < best:
-                        best, pi, pj = v, i, j
-                        if best == 1:
-                            break
-            if best == 1:
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for r in a:
-                r[t], r[pj] = r[pj], r[t]
-
-        p = a[t][t]
-        rt = a[t]
-        clean = True
-        for i in range(t + 1, rows):
-            ri = a[i]
-            v = ri[t]
-            if v:
-                q = v // p
-                if q:
-                    for j in range(t, cols):
-                        ri[j] -= q * rt[j]
-                if ri[t]:
-                    clean = False
-        if not clean:
-            continue
-        # Column t is clear below the pivot, so column steps touch row t alone.
-        for j in range(t + 1, cols):
-            if rt[j]:
-                rt[j] %= p
-                if rt[j]:
-                    clean = False
-        if not clean:
-            continue
-
-        # Pivot row and column are clear; make the pivot divide the rest by
-        # adding a row it does not divide to row t.  A unit pivot divides all.
-        if p != 1 and p != -1:
-            ri = next((r for r in a[t + 1 :] if any(v % p for v in r[t + 1 :])), None)
-            if ri is not None:
-                rt[t:] = [x + y for x, y in zip(rt[t:], ri[t:])]
-                continue
-        factors.append(p if p > 0 else -p)
-        t += 1
-    return tuple(factors)
+    rows = [b for b in echelon_basis(matrix, len(matrix[0]) if matrix else 0) if b]
+    while any(len(row) - row.count(0) > 1 for row in rows):
+        rows = [b for b in echelon_basis(zip(*rows), len(rows)) if b]
+    diagonal = [abs(next(filter(None, row))) for row in rows]
+    for i, d in enumerate(diagonal):
+        for j in range(i + 1, len(diagonal)):
+            g = gcd(d, diagonal[j])
+            d, diagonal[j] = g, d // g * diagonal[j]
+        diagonal[i] = d
+    return tuple(diagonal)
 
 
 class _Matrix(NamedTuple):

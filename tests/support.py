@@ -148,21 +148,55 @@ def xgcd_by_euclid(a: int, b: int) -> tuple[int, int, int]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant by Laplace expansion; exact, for small matrices only."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j, v in enumerate(rows[0]):
-        if v:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = v * det_int(minor)
-            total += -term if j & 1 else term
-    return total
+    """Determinant by fraction-free (Bareiss) elimination, every division
+    exact; no gcd step, so it shares nothing with the library's elimination."""
+    a = [list(r) for r in rows]
+    size, sign, previous = len(a), 1, 1
+    for t in range(size - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, size) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        p = a[t][t]
+        for i in range(t + 1, size):
+            ai, x = a[i], a[i][t]
+            for j in range(t + 1, size):
+                ai[j] = (ai[j] * p - x * a[t][j]) // previous
+        previous = p
+    return sign * a[-1][-1] if size else 1
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank by fraction-free elimination: each entry after step t is a
+    (t+1) x (t+1) minor, so the division by the previous pivot is exact."""
+    a = [list(r) for r in rows]
+    rank, previous = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            x = a[i][c]
+            a[i] = [(v * p - x * w) // previous for v, w in zip(a[i], top)]
+        previous, rank = p, rank + 1
+    return rank
+
+
+def _minor_gcd(rows: list[list[int]], size: int) -> int:
+    """D_size, the gcd of all size x size minors, 0 when all vanish."""
+    g = 0
+    for ri in combinations(rows, size):
+        for ci in combinations(range(len(rows[0]) if rows else 0), size):
+            g = gcd(g, det_int([[r[j] for j in ci] for r in ri]))
+            if g == 1:
+                # No gcd of nonzero integers is smaller.
+                return 1
+    return g
 
 
 def minor_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
@@ -172,13 +206,9 @@ def minor_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
     and the nonzero ones stop at the rank.  This never touches the
     elimination code it is checking.
     """
-    height, width = len(rows), len(rows[0]) if rows else 0
     divisors = [1]
-    for s in range(1, min(height, width) + 1):
-        g = 0
-        for ri in combinations(range(height), s):
-            for ci in combinations(range(width), s):
-                g = gcd(g, det_int([[rows[i][j] for j in ci] for i in ri]))
+    for s in range(1, min(len(rows), len(rows[0]) if rows else 0) + 1):
+        g = _minor_gcd(rows, s)
         if g == 0:
             break
         divisors.append(g)
@@ -186,10 +216,11 @@ def minor_invariant_factors(rows: list[list[int]]) -> tuple[int, ...]:
 
 
 def minor_rank_and_torsion(matrix: list[list[int]]) -> tuple[int, int]:
-    """Rank and gcd of all rank-sized minors, the determinantal divisor D_r
-    for r = rank, which is the torsion-cokernel order."""
-    factors = minor_invariant_factors(matrix)
-    return len(factors), prod(factors)
+    """Rank r and D_r, the gcd of all r x r minors, which is the order of the
+    torsion of the cokernel; the rank comes from `rank_int`, so only the
+    minors of size r are enumerated."""
+    rank = rank_int(matrix)
+    return rank, _minor_gcd(matrix, rank)
 
 
 def subset_report(arr: EllipticArrangement, subset: int) -> tuple[int, int]:

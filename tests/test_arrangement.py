@@ -1,4 +1,5 @@
 import ast
+import random
 import time
 from math import gcd, prod
 from pathlib import Path
@@ -23,6 +24,7 @@ from ellmat import (
     row_select,
     smith_form,
 )
+from ellmat.linalg import expand_order
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
@@ -31,6 +33,7 @@ from support import (
     curve_omega3,
     curve_sqrt3,
     curve_third_sqrt2,
+    minor_rank_and_torsion,
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
     new_realization_omega,
@@ -174,16 +177,16 @@ def test_single_divisor_multiplicity_is_the_norm():
             assert minor_rank_and_torsion(block) == (2, norm)
 
 
-def _count_smith_forms(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    """Count the calls the walks make to `name` of `ellmat.arrangement`."""
     calls = [0]
-    original = ellmat.linalg.smith_form
+    original = getattr(ellmat.arrangement, name)
 
-    def counted(matrix):
+    def counted(rows):
         calls[0] += 1
-        return original(matrix)
+        return original(rows)
 
-    monkeypatch.setattr(ellmat.arrangement, "smith_form", counted)
-    monkeypatch.setattr(ellmat.linalg, "smith_form", counted)
+    monkeypatch.setattr(ellmat.arrangement, name, counted)
     return calls
 
 
@@ -205,35 +208,43 @@ def _slow_tables(arr: EllipticArrangement, subsets) -> tuple[tuple[int, ...], ..
 
 
 def test_smith_forms_per_walk(monkeypatch):
-    calls = _count_smith_forms(monkeypatch)
+    smith = _count_calls(monkeypatch, "smith_form")
+    index = _count_calls(monkeypatch, "_column_index")
     arr = random_arrangement(k=5, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=11)
     matroid = from_arrangement(arr)
-    after_tabulation = calls[0]
+    after_tabulation = index[0]
     table = arr.reports()
     assert len(table[0]) == len(table[1]) == 1 << arr.k
     assert (matroid.rk, matroid.m) == table
-    # The walk runs a Smith form on each non-empty rank-deficient subset
-    # and on nothing else.
+    # The walk takes the column index of each non-empty rank-deficient
+    # subset and of nothing else.
     deficient = sum(1 for s, r in enumerate(table[0]) if s and r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
     # coker-xcheck reads its order-basis leg off one walk of the R-basis
     # expansion and its conjugate leg off one walk of the stacked
-    # arrangement; each runs a Smith form on its own rank-deficient
+    # arrangement; each takes the column index of its own rank-deficient
     # subsets, and dual shares the stacked walk.
     order_deficient = sum(
         1 for s, r in enumerate(arr.order_basis_reports()[0]) if s and r < arr.n
     )
     stacked, t_mask = dual_arrangement(arr)
     stacked_deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
-    before = calls[0]
+    before = index[0]
     walks = _count_superset_walks(monkeypatch)
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
-    assert 0 < calls[0] - before == order_deficient + stacked_deficient
+    assert 0 < index[0] - before == order_deficient + stacked_deficient
     assert walks[0] == 1
     both = check_axioms(matroid, ("dual", "coker-xcheck"), arr)
     assert both == {"dual": (), "coker-xcheck": ()}
-    assert calls[0] - before == 2 * (order_deficient + stacked_deficient)
+    assert index[0] - before == 2 * (order_deficient + stacked_deficient)
     assert walks[0] == 2
+    # No walk but torsion_chains takes a Smith form; it takes one of every
+    # subset of index other than 1, each rank-deficient or torsion-bearing.
+    assert smith[0] == 0
+    before = index[0]
+    (rk, m), _ = arr.torsion_chains()
+    assert index[0] == before
+    assert smith[0] == sum(1 for r, mult in zip(rk, m) if r < arr.n or mult > 1)
     assert subset_report(arr, 3) == (table[0][3], table[1][3])
 
 
@@ -294,20 +305,70 @@ def test_walk_matches_subset_report():
     assert cases[-1].reports()[0][-1] == 2
 
 
+def _rows_of(arr: EllipticArrangement, subset: int, expand=expand_lambda) -> list[list[int]]:
+    return expand(row_select(arr.matrix, [i for i in range(arr.k) if subset >> i & 1]))
+
+
+def _minor_report(rows: list[list[int]]) -> tuple[int, int]:
+    """(rk, m) of a subset from the exhaustive minors of its expansion rows.
+
+    A row that is a signed unit vector e_c splits a summand Z/1 off the
+    cokernel, so it is deleted with column c first, one rank each; this
+    shrinks the stacked expansions, whose rows of I_k are such rows, to
+    the conjugate-transpose block.
+    """
+    units = 0
+    unit = next((r for r in rows if sum(map(abs, r)) == 1), None)
+    while unit is not None:
+        c = [abs(v) for v in unit].index(1)
+        rows = [r[:c] + r[c + 1 :] for r in rows if r is not unit]
+        units += 1
+        unit = next((r for r in rows if sum(map(abs, r)) == 1), None)
+    rank, torsion = minor_rank_and_torsion(rows)
+    if (units + rank) % 2:
+        raise AssertionError("lattice expansions of order maps have even rank")
+    return (units + rank) // 2, torsion
+
+
+def test_walks_match_exhaustive_minors():
+    # subset_report runs on smith_form, which shares the echelon insertion
+    # with the walk; the minors share no elimination code with it.  Every
+    # subset at k <= 5, a fixed sample at k = 8: subsets X of at most four
+    # divisors, and E - X in the stacked walk, whose peeled expansion is
+    # then the conjugate transpose of the rows X.
+    rng = random.Random(21)
+    small = [s for s in range(1 << 8) if s.bit_count() <= 4]
+    for arr in _walk_cases():
+        e = (1 << arr.k) - 1
+        subsets = range(e + 1) if arr.k <= 5 else rng.sample(small, 12)
+        reports, order = arr.reports(), arr.order_basis_reports()
+        stacked, t_mask = dual_arrangement(arr)
+        supersets = stacked.superset_reports(t_mask)
+        for x in subsets:
+            assert (reports[0][x], reports[1][x]) == _minor_report(_rows_of(arr, x))
+            assert (order[0][x], order[1][x]) == _minor_report(_rows_of(arr, x, expand_order))
+            s = x if arr.k <= 5 else e ^ x
+            assert (supersets[0][s], supersets[1][s]) == _minor_report(
+                _rows_of(stacked, s | t_mask)
+            )
+
+
 def test_dual_walk_matches_per_subset_reports(monkeypatch):
     for arr in _walk_cases():
         stacked, t_mask = dual_arrangement(arr)
         walked = stacked.superset_reports(t_mask)
         assert walked == _slow_tables(stacked, (s | t_mask for s in range(1 << arr.k)))
-    calls = _count_smith_forms(monkeypatch)
+    smith = _count_calls(monkeypatch, "smith_form")
+    index = _count_calls(monkeypatch, "_column_index")
     arr = random_arrangement(k=6, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=4)
     matroid = from_arrangement(arr)
     stacked, t_mask = dual_arrangement(arr)
     deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
-    before = calls[0]
+    before = index[0]
     assert check_axioms(matroid, ("dual",), arr) == {"dual": ()}
-    # Only the rank-deficient supersets of T take a Smith form.
-    assert 0 < calls[0] - before == deficient < 1 << arr.k
+    # Only the rank-deficient supersets of T take the column index.
+    assert 0 < index[0] - before == deficient < 1 << arr.k
+    assert smith[0] == 0
 
 
 def test_torsion_chains_match_smith_form():
@@ -486,7 +547,7 @@ _SMALL = st.integers(-12, 12)
 def test_xgcd_matches_euclid(common, x, y):
     a, b = common * x, common * y
     assume(a != 0 and b % a)
-    g, s, t = ellmat.arrangement._xgcd(a, b)
+    g, s, t = ellmat.linalg._xgcd(a, b)
     assert g == xgcd_by_euclid(a, b)[0] == gcd(a, b) > 0
     assert s * a + t * b == g
 

@@ -49,8 +49,9 @@ def test_torsion_order_examples():
 
 
 def test_smith_form_leaves_its_argument_unchanged():
-    # A row swap, a column swap, a fold, and a shape with no columns: the
-    # walk shares basis rows between sibling subsets, so they must survive.
+    # Rows the first echelon pass stores as they are, a diagonal input that
+    # no later pass replaces, and a shape with no columns: the walk shares
+    # basis rows between sibling subsets, so they must survive.
     for matrix in ([[0, 2], [3, 4]], [[2, 0], [0, 3]], [[0, 0], [0, 5]], [[], [], []]):
         before = [list(r) for r in matrix]
         rows = list(matrix)
@@ -73,28 +74,39 @@ def test_smith_matches_minor_enumeration():
 
 def test_smith_euclid_and_fold_cases():
     cases = {
-        # A column step leaves a remainder in the pivot row.
+        # One row: the row pass keeps it, and the column pass's extended-gcd
+        # steps bring the gcd of its entries into one pivot.
         ((2, 3),): (1,),
         ((4, 6, 9),): (1,),
         ((-3, 0, 7), (0, 0, 0)): (1,),
-        # The pivot does not divide the trailing block, so a row is folded in.
+        # Already diagonal, so no column pass runs; the pairwise (gcd, lcm)
+        # steps turn the diagonal into a divisibility chain.
         ((2, 0), (0, 3)): (1, 6),
         ((-2, 0), (0, -3)): (1, 6),
         ((4, 0), (0, 6)): (2, 12),
         ((6, 0, 0), (0, 10, 0), (0, 0, 15)): (1, 30, 30),
+        # The column pass leaves a pivot that does not divide its row, so a
+        # third pass, over the rows again, clears it.
         ((3, 1, 0), (0, 3, 0), (0, 0, 0)): (1, 9),
+        # The most passes among small inputs: five, the leading pivot falling
+        # 12, 4, 2, 1 before it divides its row and its column ...
+        ((-12, -4), (0, 5)): (1, 60),
+        ((0, 1), (12, -4), (-12, -9)): (1, 12),
+        # ... and six, where the trailing block takes four more passes once
+        # the leading entry is 1.
+        ((8, 7, -9, -10), (0, 9, 9, 6), (0, 0, -1, 4)): (1, 1, 12),
     }
     for rows, factors in cases.items():
         mat = [list(r) for r in rows]
         assert smith_form(mat) == factors == minor_invariant_factors(mat)
 
 
-_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(10**6), 10**6))
+_ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(2**62), 2**62))
 
 
 @st.composite
 def _int_matrix(draw) -> list[list[int]]:
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
     row = st.one_of(st.just([0] * cols), st.lists(_ENTRY, min_size=cols, max_size=cols))
     data = draw(st.lists(row, min_size=rows, max_size=rows))
     if draw(st.booleans()):
