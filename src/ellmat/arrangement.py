@@ -47,17 +47,14 @@ unchanged.  Then, in the current coordinates:
   lattice its columns span, with no Smith form; an empty one has m(S) = 1;
 - only `torsion_chains` takes Smith forms, of every basis of index not 1.
 
-Insertion never reduces; the projection is the walk's only reduction.
-At a full-rank node of index D it keeps the t non-unit pivot columns and
-reduces every entry but the pivots mod D (Domich, Kannan & Trotter, Math.
-Oper. Res. 1987; Cohen, GTM 138, 2.4.2): phi(L(S)) has index D in Z^t,
-so it contains D Z^t.  The reduced images of the non-unit rows stay in
-it and triangular on the same pivots, so they span a sublattice of the
-same index, phi(L(S)) itself; a row still to insert moves by a vector of
-D Z^t, which every lattice of the subtree contains.  The pivots are
-kept, since one can be D itself.  At D = 1 the quotient is trivial, and
-every subset of the subtree has rank n and multiplicity 1 with no
-arithmetic at all.
+Insertion never reduces; the projection is the walk's only reduction
+(Hermite size reduction, Cohen, GTM 138, 2.4).  Each row it carries is
+reduced modulo the basis at every pivot right of its own, a basis row by
+the rows below it, so the basis stays echelon on the same pivots and
+every row moves by a vector of L(S), which every lattice of the subtree
+contains.  At full rank every column has a pivot, and each entry stays
+within its column's pivot, at most the index D.  At D = 1 the quotient
+is trivial: every subset of the subtree has rank n and multiplicity 1.
 
 An arrangement holds only its matrix, and each walk expands the rows it
 walks when it is called: an arrangement caches no expansion and no table,
@@ -101,37 +98,40 @@ Tables = tuple[tuple[int, ...], tuple[int, ...]]
 MAX_GROUND = 20
 
 
-def _project(basis: list, pairs: list, det: int) -> tuple[list, list]:
-    """The echelon `basis` and the row `pairs` still to insert, carried to
-    Z^w, w the number of columns without a unit pivot; both unchanged when
-    no pivot is a unit.
+def _project(basis: list, pairs: list) -> tuple[list, list]:
+    """The echelon `basis` and the row `pairs` still to insert, reduced
+    modulo the basis and carried to Z^w, w the number of columns without a
+    unit pivot; both unchanged when no pivot is a unit.
 
-    The unit-pivot columns are eliminated in ascending order, from the other
-    basis rows and from the pairs, and the other w columns are kept, mod det
-    when det > 0 is the index of a full-rank basis: the walk's only
-    reduction.  The pivots themselves are restored, since one can equal det.
+    Rows are reduced at each pivot right of their own, in ascending column
+    order, by q = v[c] // pivot; basis rows bottom up, each by the rows
+    below it.  A unit pivot zeroes its column, dropped with its row, so
+    the unit rows need no reduction themselves.
     """
-    units = [(c, b) for c, b in enumerate(basis) if b is not None and b[c] in (1, -1)]
-    if not units:
-        return basis, pairs
     keep = [c for c, b in enumerate(basis) if b is None or b[c] not in (1, -1)]
+    if len(keep) == len(basis):
+        return basis, pairs
+    # The (column, row) of the basis rows below the one being reduced.
+    below: list = []
 
-    def project(v: list[int]) -> list[int]:
-        for c, b in units:
-            if v[c]:
-                q = v[c] * b[c]
+    def reduce(v: list[int]) -> list[int]:
+        for c, b in below:
+            q = v[c] // b[c]
+            if q:
                 v = [vi - q * bi for vi, bi in zip(v, b)]
-        return [v[c] % det for c in keep] if det else [v[c] for c in keep]
+        return v
 
-    projected: list = []
-    for i, c in enumerate(keep):
+    for c in reversed(range(len(basis))):
         b = basis[c]
         if b is not None:
-            row = project(b)
-            row[i] = b[c]
-            b = row
-        projected.append(b)
-    return projected, [(project(top), project(bottom)) for top, bottom in pairs]
+            below.insert(0, (c, b if b[c] in (1, -1) else reduce(b)))
+    rows = dict(below)
+
+    def cut(v: list[int]) -> list[int]:
+        return [v[c] for c in keep]
+
+    projected = [None if basis[c] is None else cut(rows[c]) for c in keep]
+    return projected, [(cut(reduce(top)), cut(reduce(bottom))) for top, bottom in pairs]
 
 
 def _column_index(rows: list) -> int:
@@ -144,8 +144,8 @@ def _column_index(rows: list) -> int:
 
 def _multiplicity(rows: list, det: int) -> int:
     """m of a walked node: its index at full rank, else the index of the
-    column lattice of its basis; an empty basis leaves a free quotient."""
-    return det or (_column_index(rows) if rows else 1)
+    column lattice of its basis."""
+    return det or _column_index(rows)
 
 
 def _chain(rows: list, det: int) -> tuple[int, ...]:
@@ -209,7 +209,7 @@ class EllipticArrangement:
                 # keep the prefill.
                 return
             if len(pairs) >= 2:
-                basis, pairs = _project(basis, pairs, det)
+                basis, pairs = _project(basis, pairs)
             for i, (top, bottom) in enumerate(pairs):
                 child = basis.copy()
                 echelon_insert(child, top)

@@ -216,17 +216,15 @@ def test_smith_forms_per_walk(monkeypatch):
     table = arr.reports()
     assert len(table[0]) == len(table[1]) == 1 << arr.k
     assert (matroid.rk, matroid.m) == table
-    # The walk takes the column index of each non-empty rank-deficient
-    # subset and of nothing else.
-    deficient = sum(1 for s, r in enumerate(table[0]) if s and r < arr.n)
+    # The walk takes the column index of each rank-deficient subset, the
+    # empty one's basis included, and of nothing else.
+    deficient = sum(1 for r in table[0] if r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
     # coker-xcheck reads its order-basis leg off one walk of the R-basis
     # expansion and its conjugate leg off one walk of the stacked
     # arrangement; each takes the column index of its own rank-deficient
     # subsets, and dual shares the stacked walk.
-    order_deficient = sum(
-        1 for s, r in enumerate(arr.order_basis_reports()[0]) if s and r < arr.n
-    )
+    order_deficient = sum(1 for r in arr.order_basis_reports()[0] if r < arr.n)
     stacked, t_mask = dual_arrangement(arr)
     stacked_deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
     before = index[0]
@@ -385,11 +383,12 @@ def _count_projections(monkeypatch) -> list[int]:
     calls: list[int] = []
     original = ellmat.arrangement._project
 
-    def counted(basis, pairs, det):
-        projected = original(basis, pairs, det)
+    def counted(basis, pairs):
+        projected = original(basis, pairs)
         # Without a unit pivot the basis comes back as it is.
         if projected[0] is not basis:
-            calls.append(det)
+            full = all(b is not None for b in basis)
+            calls.append(abs(prod(b[c] for c, b in enumerate(basis))) if full else 0)
         return projected
 
     monkeypatch.setattr(ellmat.arrangement, "_project", counted)
@@ -433,6 +432,30 @@ def test_walk_takes_both_quotient_branches(monkeypatch):
         arr.torsion_chains()
         arr.order_basis_reports()
     assert projections == []
+
+
+def _widest_entry(arr: EllipticArrangement, fixed: int) -> int:
+    """The bit length of the largest entry of a basis the walk of the
+    subsets containing `fixed` hands its measure."""
+    widest = [0]
+
+    def spy(rows, det):
+        widest[0] = max([widest[0]] + [abs(x).bit_length() for row in rows for x in row])
+        return ellmat.arrangement._multiplicity(rows, det)
+
+    arr._walk(expand_lambda, fixed, spy)
+    return widest[0]
+
+
+def test_projection_bounds_the_big_entry_bases():
+    # Reduced at full-rank nodes only, modulo the index, these bases reach
+    # 2,829 to 36,592 bits; reduced modulo each projected node's basis,
+    # 1,525 bits at most.
+    for seed in (1, 2, 3):
+        arr = random_arrangement(k=8, n=4, m=2, a=0, b=1, c=3, bound=10**6, seed=seed)
+        stacked, t_mask = dual_arrangement(arr)
+        assert _widest_entry(arr, 0) < 2000
+        assert _widest_entry(stacked, t_mask) < 2000
 
 
 def test_walk_edge_cases_of_the_quotient():
