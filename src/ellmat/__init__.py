@@ -33,7 +33,6 @@ from .matroid import (
     tutte,
 )
 from .fileio import (
-    ArrangementFormatError,
     load_arrangement,
     parse_document,
     parse_text,

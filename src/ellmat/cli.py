@@ -26,7 +26,6 @@ from typing import Sequence
 
 from .arrangement import dual_arrangement
 from .fileio import (
-    ArrangementFormatError,
     load_arrangement,
     random_arrangement,
     save_arrangement,
@@ -344,7 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArrangementFormatError, ParameterError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

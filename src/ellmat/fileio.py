@@ -15,7 +15,8 @@ The format, integers throughout:
 An entry [x, y] means x + y*N*tau, coordinates over the basis {1, N*tau}
 of the endomorphism ring.  Serialization is canonical (fixed key order,
 two-space indent, trailing newline), so generated files round-trip
-byte-for-byte through parse and serialize.
+byte-for-byte through parse and serialize.  A malformed or oversized
+document raises ParameterError; a file that cannot be opened, OSError.
 """
 
 from __future__ import annotations
@@ -44,33 +45,29 @@ from .quadratic_order import (
 READ_LIMIT = ENTRY_LIMIT * (2 * len(str(1 - COORD_LIMIT)) + 60) + 4096
 
 
-class ArrangementFormatError(ValueError):
-    """Malformed or invalid arrangement document."""
-
-
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ArrangementFormatError(f"{where}: expected an integer, got {value!r}")
+        raise ParameterError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
 def _as_object(value: Any, where: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(value, dict):
-        raise ArrangementFormatError(f"{where}: expected an object")
+        raise ParameterError(f"{where}: expected an object")
     unknown = set(value) - set(keys)
     if unknown:
-        raise ArrangementFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ParameterError(f"{where}: unknown keys {sorted(unknown)}")
     missing = [k for k in keys if k not in value]
     if missing:
-        raise ArrangementFormatError(f"{where}: missing keys {missing}")
+        raise ParameterError(f"{where}: missing keys {missing}")
     return value
 
 
-def _check_size(k: int, n: int, error: type[ValueError] = ParameterError) -> None:
-    """Raise `error` for a k x n matrix with more than ENTRY_LIMIT rows,
+def _check_size(k: int, n: int) -> None:
+    """Raise ParameterError for a k x n matrix with more than ENTRY_LIMIT rows,
     columns or entries, so a huge shape ends before any work, not in a hang."""
     if max(k, n, k * n) > ENTRY_LIMIT:
-        raise error(
+        raise ParameterError(
             f"a {k} x {n} matrix exceeds the limit of {ENTRY_LIMIT} rows, columns or entries"
         )
 
@@ -82,42 +79,37 @@ def parse_document(doc: Any) -> EllipticArrangement:
     tau_obj = _as_object(top["tau"], "tau", ("a", "b", "c"))
     matrix_obj = _as_object(top["matrix"], "matrix", ("rows", "cols", "entries"))
 
-    try:
-        field = make_field(_as_int(field_obj["m"], "field.m"))
-        curve = make_curve(
-            field,
-            _as_int(tau_obj["a"], "tau.a"),
-            _as_int(tau_obj["b"], "tau.b"),
-            _as_int(tau_obj["c"], "tau.c"),
-        )
-    except ParameterError as exc:
-        raise ArrangementFormatError(str(exc)) from exc
+    field = make_field(_as_int(field_obj["m"], "field.m"))
+    curve = make_curve(
+        field,
+        _as_int(tau_obj["a"], "tau.a"),
+        _as_int(tau_obj["b"], "tau.b"),
+        _as_int(tau_obj["c"], "tau.c"),
+    )
 
     rows = _as_int(matrix_obj["rows"], "matrix.rows")
     cols = _as_int(matrix_obj["cols"], "matrix.cols")
     if rows < 0 or cols < 0:
-        raise ArrangementFormatError("matrix.rows and matrix.cols must be non-negative")
-    _check_size(rows, cols, ArrangementFormatError)
+        raise ParameterError("matrix.rows and matrix.cols must be non-negative")
+    _check_size(rows, cols)
     entries = matrix_obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
-        raise ArrangementFormatError(
+        raise ParameterError(
             f"matrix.entries: expected {rows} rows, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
     pairs: list[tuple[tuple[int, int], ...]] = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
-            raise ArrangementFormatError(
-                f"matrix.entries[{i}]: expected {cols} entries"
-            )
+            raise ParameterError(f"matrix.entries[{i}]: expected {cols} entries")
         out_row: list[tuple[int, int]] = []
         for j, pair in enumerate(row):
             where = f"matrix.entries[{i}][{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ArrangementFormatError(f"{where}: expected an [x, y] pair")
+                raise ParameterError(f"{where}: expected an [x, y] pair")
             x, y = _as_int(pair[0], where), _as_int(pair[1], where)
             if max(abs(x), abs(y)) >= COORD_LIMIT:
-                raise ArrangementFormatError(f"{where}: |x| and |y| must be below 2^64")
+                raise ParameterError(f"{where}: |x| and |y| must be below 2^64")
             out_row.append((x, y))
         pairs.append(tuple(out_row))
     return EllipticArrangement(RingMatrix(curve, rows, cols, tuple(pairs)))
@@ -129,7 +121,7 @@ def parse_text(text: str) -> EllipticArrangement:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ArrangementFormatError(f"invalid JSON: {exc}") from exc
+        raise ParameterError(f"invalid JSON: {exc}") from exc
     return parse_document(doc)
 
 
@@ -143,11 +135,11 @@ def load_arrangement(path: str) -> EllipticArrangement:
             data = handle.read(READ_LIMIT + 1)
             length = len(data)
     if length > READ_LIMIT:
-        raise ArrangementFormatError(f"{path}: longer than the limit of {READ_LIMIT} bytes")
+        raise ParameterError(f"{path}: longer than the limit of {READ_LIMIT} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ArrangementFormatError(f"invalid UTF-8: {exc}") from exc
+        raise ParameterError(f"invalid UTF-8: {exc}") from exc
     return parse_text(text)
 
 

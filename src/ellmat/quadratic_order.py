@@ -18,7 +18,8 @@ from typing import Iterable, NamedTuple
 
 
 class ParameterError(ValueError):
-    """Invalid field, curve, matrix or table parameters."""
+    """Invalid field, curve, matrix or table parameters, or a malformed or
+    oversized arrangement document: every input the package refuses."""
 
 
 # make_field refuses m at or above this, so is_square_free needs at most

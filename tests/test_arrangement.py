@@ -182,9 +182,9 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     calls = [0]
     original = getattr(ellmat.arrangement, name)
 
-    def counted(rows):
+    def counted(*args):
         calls[0] += 1
-        return original(rows)
+        return original(*args)
 
     monkeypatch.setattr(ellmat.arrangement, name, counted)
     return calls
@@ -456,6 +456,46 @@ def test_projection_bounds_the_big_entry_bases():
         stacked, t_mask = dual_arrangement(arr)
         assert _widest_entry(arr, 0) < 2000
         assert _widest_entry(stacked, t_mask) < 2000
+
+
+# Upper bounds on the echelon insertions of each walk, in the order
+# reports(), order_basis_reports(), the stacked superset_reports(T) and
+# torsion_chains(), keyed by the random_arrangement arguments at seed 1.
+WALK_INSERTIONS = {
+    (10, 3, 3, -1, 2, 1, 3): (1198, 1198, 2032, 1198),
+    (9, 4, 1, 0, 1, 1, 3): (928, 928, 942, 928),
+    (9, 4, 2, 0, 1, 3, 3): (808, 808, 958, 808),
+    (9, 4, 2, 0, 1, 3, 10**6): (1022, 1022, 972, 1022),
+}
+
+
+def test_walk_work_stays_within_its_bounds(monkeypatch):
+    """Each walk's count of child insertions stays within its bound.
+
+    Counts of work do not depend on the host, so they gate a slower walk
+    where wall time cannot.  Only the insertions of a node's children go
+    through `ellmat.arrangement.echelon_insert`; the root's `echelon_basis`,
+    `_column_index` and `smith_form` call `linalg` directly and are not
+    counted.  A change that lowers a count lowers its bound to the new
+    count; raising a bound is a regression and needs its own line in
+    CHANGES.md.
+    """
+    calls = _count_calls(monkeypatch, "echelon_insert")
+    for args, bounds in WALK_INSERTIONS.items():
+        arr = random_arrangement(*args, seed=1)
+        stacked, t_mask = dual_arrangement(arr)
+        walks = (
+            arr.reports,
+            arr.order_basis_reports,
+            lambda: stacked.superset_reports(t_mask),
+            arr.torsion_chains,
+        )
+        counts = []
+        for walk in walks:
+            calls[0] = 0
+            walk()
+            counts.append(calls[0])
+        assert all(c <= b for c, b in zip(counts, bounds)), (args, counts, bounds)
 
 
 def test_walk_edge_cases_of_the_quotient():

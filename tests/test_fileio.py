@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
+import ellmat
 from ellmat import (
-    ArrangementFormatError,
     EllipticArrangement,
     RingMatrix,
     load_arrangement,
@@ -79,13 +79,25 @@ def _broken(mutate):
     ],
 )
 def test_parse_rejects_invalid_documents(mutate):
-    with pytest.raises(ArrangementFormatError):
+    with pytest.raises(ParameterError):
         parse_document(_broken(mutate))
 
 
 def test_parse_rejects_invalid_json():
-    with pytest.raises(ArrangementFormatError):
+    with pytest.raises(ParameterError):
         parse_text("{not json")
+
+
+def test_refused_document_raises_the_curve_error_itself():
+    # A curve the document describes is refused by make_curve's own
+    # ParameterError, not by a second error chained to it, and the package
+    # has no other error class for refused input.
+    with pytest.raises(ParameterError) as info:
+        parse_document(_broken(lambda d: d["tau"].__setitem__("b", 0)))
+    assert str(info.value) == "b = 0 makes tau real"
+    assert info.value.__cause__ is None
+    errors = [v for v in vars(ellmat).values() if isinstance(v, type) and issubclass(v, Exception)]
+    assert errors == [ParameterError]
 
 
 def test_random_arrangement_is_deterministic():
@@ -140,7 +152,7 @@ def test_over_long_regular_file_is_refused_unread(tmp_path):
         os.truncate(handle.fileno(), READ_LIMIT + 1)
     tracemalloc.start()
     try:
-        with pytest.raises(ArrangementFormatError) as info:
+        with pytest.raises(ParameterError) as info:
             load_arrangement(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
