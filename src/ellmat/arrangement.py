@@ -45,7 +45,7 @@ unchanged.  Then, in the current coordinates:
   pivots|, the index of L(S), with no Smith form;
 - a rank-deficient basis of r rows has m(S) = the index in Z^r of the
   lattice its columns span, with no Smith form; an empty one has m(S) = 1;
-- only `torsion_chains` takes Smith forms, of every basis of index not 1.
+- only `torsion_chains` takes Smith forms, of every basis it measures.
 
 Insertion never reduces; the projection is the walk's only reduction
 (Hermite size reduction, Cohen, GTM 138, 2.4).  Each row it carries is
@@ -53,15 +53,15 @@ reduced modulo the basis at every pivot right of its own, a basis row by
 the rows below it, so the basis stays echelon on the same pivots and
 every row moves by a vector of L(S), which every lattice of the subtree
 contains.  At full rank every column has a pivot, and each entry stays
-within its column's pivot, at most the index D.  At D = 1 the quotient
-is trivial: every subset of the subtree has rank n and multiplicity 1.
+within its column's pivot, at most the index D.
 
 An arrangement holds only its matrix, and each walk expands the rows it
 walks when it is called: an arrangement caches no expansion and no table,
 and never changes.  Every walk fills two tables of the subsets it covers,
 the ranks and one measure of the torsion, both prefilled with the values
-of index 1 (rank n, no torsion), so it never visits the subsets below a
-node of index 1.  `reports()` is the walk over all 2^k subsets in
+of index 1 (rank n, no torsion).  At index 1 the quotient is trivial, so
+the walk stops at such a node without measuring it, and the node and its
+subtree keep the prefill.  `reports()` is the walk over all 2^k subsets in
 ascending bitmask order, measuring the multiplicity; its pair (rk, m) of
 int tuples is the shape `ArithmeticMatroid` takes.
 `superset_reports(fixed)` walks the subsets containing `fixed`, whose
@@ -150,13 +150,12 @@ def _multiplicity(rows: list, det: int) -> int:
 
 def _chain(rows: list, det: int) -> tuple[int, ...]:
     """The invariant factors above 1 of a walked node's cokernel torsion."""
-    # Index 1 means L(S) = Z^2n, whose cokernel has no torsion.
-    return () if det == 1 else tuple(d for d in smith_form(rows) if d > 1)
+    return tuple(d for d in smith_form(rows) if d > 1)
 
 
 class EllipticArrangement:
     """k divisors in E^n, held as their matrix only; each walk expands the
-    rows it walks and fills its tables afresh, prefilled below index 1."""
+    rows it walks and fills its tables afresh, index-1 subtrees prefilled."""
 
     def __init__(self, matrix: RingMatrix):
         self.matrix = matrix
@@ -183,8 +182,8 @@ class EllipticArrangement:
         is an echelon basis of its row lattice in Z^2n or, below a projected
         node, of the image of that lattice in the node's quotient coordinates
         Z^w; `det` is the lattice's index when it has full rank n, else 0.
-        The subsets below a node of index 1 keep the prefill, rank n and
-        measure([], 1).
+        A node of index 1 is not measured: it and its subtree keep the
+        prefill, rank n and measure([], 1), the one call to see det == 1.
         """
         n, k = self.n, self.k
         free = k - fixed.bit_count()
@@ -203,11 +202,11 @@ class EllipticArrangement:
             if rank2 % 2:
                 raise AssertionError("lattice expansions of order maps have even rank")
             det = abs(prod(b[c] for c, b in enumerate(basis))) if rank2 == 2 * n else 0
-            rk[narrow], values[narrow] = rank2 // 2, measure(rows, det)
             if det == 1:
                 # The quotient is trivial here and at every superset, which
                 # keep the prefill.
                 return
+            rk[narrow], values[narrow] = rank2 // 2, measure(rows, det)
             if len(pairs) >= 2:
                 basis, pairs = _project(basis, pairs)
             for i, (top, bottom) in enumerate(pairs):

@@ -150,8 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print()
     _print_rows(_subset_rows(matroid, arr.n, chains))
     print()
-    print(f"tutte polynomial: {t_poly.format('x', 'y')}")
-    print(f"characteristic polynomial: {poly_str(chi, 't')}")
+    print(f"tutte polynomial: {t_poly.format()}")
+    print(f"characteristic polynomial: {poly_str(chi)}")
     if essential:
         print(f"euler characteristic: {euler}")
     else:
@@ -196,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_tutte(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
-    print(tutte(from_arrangement(arr)).format("x", "y"))
+    print(tutte(from_arrangement(arr)).format())
     return 0
 
 
@@ -225,20 +225,21 @@ def cmd_gcd_check(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
-    matroid = from_arrangement(arr)
-    dual = matroid.dual()
+    dual = from_arrangement(arr).dual()
+    stacked, t_mask = dual_arrangement(arr)
+    # Saved before any output, so a refused write prints nothing.
+    if args.emit_arrangement:
+        save_arrangement(stacked, args.emit_arrangement)
     rows = [("subset", "rank*", "m*")]
     for s in range(1 << dual.size):
         rows.append((format_subset(s), str(dual.rk[s]), str(dual.m[s])))
     _print_rows(rows)
-    stacked, t_mask = dual_arrangement(arr)
     print()
     print(
         f"stacked realization: {stacked.k} divisors in E^{stacked.n}, "
         f"contract T = {format_subset(t_mask)}"
     )
     if args.emit_arrangement:
-        save_arrangement(stacked, args.emit_arrangement)
         print(f"wrote {args.emit_arrangement}")
     return 0
 

@@ -38,9 +38,9 @@ interval sums are one ternary transform of m: O(3^k) time and O(2^k)
 memory.  That is why every walk of `arrangement` refuses more than its
 MAX_GROUND (20) free divisors before it tabulates anything.
 
-L7: `char_poly` is sum (-1)^|S| m(S) t^(r - rk S) and `euler_characteristic`
-the same sum over the subsets of rank n, one pass over the tables each; the
-tests, not this module, check both against the Tutte polynomial.
+L7: `char_poly` is sum (-1)^|S| m(S) t^(r - rk S), one pass over the
+tables, and `euler_characteristic` its value at t = 0 when r = n, else 0;
+the tests, not this module, check both against the Tutte polynomial.
 
 Subsets are bitmasks, bit i standing for element i+1.
 """
@@ -419,10 +419,10 @@ class BiPoly(NamedTuple):
         cleaned = sorted((i, j, c) for (i, j), c in coeffs.items() if c != 0)
         return cls(tuple(cleaned))
 
-    def format(self, var1: str = "x", var2: str = "y") -> str:
+    def format(self) -> str:
         ordered = sorted(self.terms, key=lambda t: (-(t[0] + t[1]), -t[0]))
         return format_terms(
-            (c, "*".join(v if d == 1 else f"{v}^{d}" for v, d in ((var1, i), (var2, j)) if d))
+            (c, "*".join(v if d == 1 else f"{v}^{d}" for v, d in (("x", i), ("y", j)) if d))
             for i, j, c in ordered
         )
 
@@ -464,10 +464,10 @@ def char_poly(matroid: ArithmeticMatroid) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def poly_str(coeffs: tuple[int, ...], var: str = "t") -> str:
-    """Render ascending coefficients as a descending-degree polynomial string."""
+def poly_str(coeffs: tuple[int, ...]) -> str:
+    """Render ascending coefficients as a polynomial in t, highest degree first."""
     return format_terms(
-        (coeffs[d], "" if d == 0 else (var if d == 1 else f"{var}^{d}"))
+        (coeffs[d], "" if d == 0 else ("t" if d == 1 else f"t^{d}"))
         for d in range(len(coeffs) - 1, -1, -1)
     )
 
@@ -478,12 +478,7 @@ def euler_characteristic(matroid: ArithmeticMatroid, ambient_n: int) -> int:
     Inclusion-exclusion over the layers: one of positive dimension is a union
     of abelian varieties, of Euler characteristic 0, so only the m(S) points
     of each S of rank ambient_n = rk(E) count, with sign (-1)^|S|; otherwise
-    0.  The paper's identity with (-1)^r T(1, 0) is tested, not used.
+    0: the constant term of `char_poly` (Moci, Trans. AMS 2012).  The
+    paper's identity with (-1)^r T(1, 0) is tested, not used.
     """
-    if matroid.full_rank != ambient_n:
-        return 0
-    return sum(
-        -mult if s.bit_count() & 1 else mult
-        for s, (rank, mult) in enumerate(zip(matroid.rk, matroid.m))
-        if rank == ambient_n <= s.bit_count()
-    )
+    return char_poly(matroid)[0] if matroid.full_rank == ambient_n else 0

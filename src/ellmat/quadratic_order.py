@@ -1,11 +1,12 @@
 """Imaginary quadratic orders attached to a lattice, as exact integer constants.
 
 A lattice L = <1, tau> with tau = (a + b*omega)/c non-real determines the
-multiplier ring R = {z : z*L inside L}, which is an order in the imaginary
-quadratic field Q(sqrt(-m)).  R always has a Z-basis {1, N*tau} for a unique
-positive integer N.  The package reads R through four integers, which
-make_curve derives once and CurveParams keeps: N, the trace gen_trace of
-N*tau, delta_prime (N*tau has norm N*delta_prime) and the conductor.
+multiplier ring R = {z : z*L inside L}, an order in the imaginary quadratic
+field Q(sqrt(-m)), whose integers Z[omega] make_field keeps as omega's trace
+and norm.  R always has a Z-basis {1, N*tau} for a unique positive integer
+N.  The package reads R through four integers, which make_curve derives
+once and CurveParams keeps: N, the trace gen_trace of N*tau, delta_prime
+(N*tau has norm N*delta_prime) and the conductor.
 
 All values are plain Python integers; nothing in this module, or anywhere
 else in the package, uses floating point.
@@ -56,35 +57,30 @@ def is_square_free(m: int) -> bool:
 
 
 class FieldParams(NamedTuple):
-    """The field Q(sqrt(-m)) and the shape of its ring of integers Z[omega].
+    """The field Q(sqrt(-m)) and its ring of integers Z[omega], omega held
+    by its trace and norm, so omega^2 = trace*omega - norm.
 
-    omega = (1 + sqrt(-m))/2 when m = 3 (mod 4), the half-integral case,
-    and omega = sqrt(-m) otherwise.  In the half-integral case m_prime is
-    the integer with 4*m_prime - 1 = m, so omega^2 = omega - m_prime;
-    otherwise omega^2 = -m.
+    omega = (1 + sqrt(-m))/2, of trace 1 and norm (m + 1)/4, when
+    m = 3 (mod 4), and omega = sqrt(-m), of trace 0 and norm m, otherwise.
     """
 
     m: int
-    half_integral: bool
-    m_prime: int | None = None
+    trace: int
+    norm: int
 
     def omega_str(self) -> str:
-        if self.half_integral:
-            return f"(1 + sqrt(-{self.m}))/2"
-        return f"sqrt(-{self.m})"
+        return f"(1 + sqrt(-{self.m}))/2" if self.trace else f"sqrt(-{self.m})"
 
 
 def make_field(m: int) -> FieldParams:
-    """Field parameters for Q(sqrt(-m)); m must be positive, square-free and below 2^64."""
+    """Q(sqrt(-m)) and omega's trace and norm; m must be positive, square-free and below 2^64."""
     if m < 1:
         raise ParameterError(f"m must be a positive integer, got {m}")
     if m >= M_LIMIT:
         raise ParameterError(f"m must be below 2^64, got {m}")
     if not is_square_free(m):
         raise ParameterError(f"m must be square-free, got {m}")
-    if m % 4 == 3:
-        return FieldParams(m=m, half_integral=True, m_prime=(m + 1) // 4)
-    return FieldParams(m=m, half_integral=False)
+    return FieldParams(m, 1, (m + 1) // 4) if m % 4 == 3 else FieldParams(m, 0, m)
 
 
 class CurveParams(NamedTuple):
@@ -130,12 +126,9 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
         raise ParameterError(f"gcd(a, b, c) must be 1, got ({a}, {b}, {c})")
     if c < 0:
         a, b, c = -a, -b, -c
-    if field.half_integral:
-        trace_num = 2 * a + b
-        det_num = a * a + a * b + b * b * field.m_prime
-    else:
-        trace_num = 2 * a
-        det_num = a * a + b * b * field.m
+    # tr and norm of a + b*omega, from omega^2 = trace*omega - norm.
+    trace_num = 2 * a + b * field.trace
+    det_num = a * a + a * b * field.trace + b * b * field.norm
     g = gcd(c, det_num)
     c_prime = c // g
     curve = CurveParams(

@@ -260,13 +260,15 @@ def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> in
 def generator_index_oracle(field: FieldParams, a: int, b: int, c: int) -> int:
     """Least k >= 1 with k*tau and k*tau^2 in <1, tau>, over exact rationals.
 
-    Works directly from omega's quadratic relation: tau^2 = p + q*omega with
-    p, q rational, then substitutes omega = (c*tau - a)/b to express tau^2
-    over the basis {1, tau}.  k*tau is always in the lattice, so only the
-    tau^2 condition matters.
+    Works directly from omega's quadratic relation, read off m itself and
+    not off the field's trace and norm: tau^2 = p + q*omega with p, q
+    rational, then substitutes omega = (c*tau - a)/b to express tau^2 over
+    the basis {1, tau}.  k*tau is always in the lattice, so only the tau^2
+    condition matters.
     """
-    if field.half_integral:
-        p = Fraction(a * a - b * b * field.m_prime, c * c)
+    if field.m % 4 == 3:
+        # omega = (1 + sqrt(-m))/2, omega^2 = omega - (m + 1)/4.
+        p = Fraction(a * a - b * b * ((field.m + 1) // 4), c * c)
         q = Fraction(2 * a * b + b * b, c * c)
     else:
         p = Fraction(a * a - b * b * field.m, c * c)

@@ -237,12 +237,13 @@ def test_smith_forms_per_walk(monkeypatch):
     assert index[0] - before == 2 * (order_deficient + stacked_deficient)
     assert walks[0] == 2
     # No walk but torsion_chains takes a Smith form; it takes one of every
-    # subset of index other than 1, each rank-deficient or torsion-bearing.
+    # subset it measures, those of index other than 1, each rank-deficient
+    # or torsion-bearing, and one of the empty basis for its prefill.
     assert smith[0] == 0
     before = index[0]
     (rk, m), _ = arr.torsion_chains()
     assert index[0] == before
-    assert smith[0] == sum(1 for r, mult in zip(rk, m) if r < arr.n or mult > 1)
+    assert smith[0] == 1 + sum(1 for r, mult in zip(rk, m) if r < arr.n or mult > 1)
     assert subset_report(arr, 3) == (table[0][3], table[1][3])
 
 
@@ -410,7 +411,8 @@ def _visits(arr: EllipticArrangement) -> tuple[list, tuple]:
 
 
 def _fills(arr: EllipticArrangement) -> int:
-    """The subsets the walk leaves at the prefill, below an index-1 node."""
+    """The subsets the walk leaves at the prefill: each node of index 1 and
+    every subset below it."""
     return (1 << arr.k) - len(_visits(arr)[0])
 
 
@@ -500,23 +502,22 @@ def test_walk_work_stays_within_its_bounds(monkeypatch):
 
 def test_walk_edge_cases_of_the_quotient():
     gauss = curve_gauss()
-    # n = 0: the root's empty basis has full rank and index 1, so its
-    # subtree keeps the prefill.
+    # n = 0: the root's empty basis has full rank and index 1, so the walk
+    # measures nothing and every subset keeps the prefill.
     no_columns = EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ())))
-    assert _visits(no_columns) == ([([], 1)], ((0,) * 8, (1,) * 8))
+    assert _visits(no_columns) == ([], ((0,) * 8, (1,) * 8))
     assert no_columns.reports() == ((0,) * 8, (1,) * 8)
     nothing = EllipticArrangement(RingMatrix(gauss, 0, 0, ()))
-    assert _visits(nothing) == ([([], 1)], ((0,), (1,)))
+    assert _visits(nothing) == ([], ((0,), (1,)))
     # k = 0 in the plane: the root is rank-deficient and has no children.
     no_rows = EllipticArrangement(RingMatrix(gauss, 0, 2, ()))
     assert _visits(no_rows) == ([([], 0)], ((0,), (1,)))
     assert no_rows.torsion_chains() == (((0,), (1,)), ((),))
-    # A unit divisor makes L = Z^2 at once; the second subset keeps the prefill.
+    # A unit divisor makes L = Z^2 at once; it and {1,2} keep the prefill.
     unit = EllipticArrangement(RingMatrix.from_pairs(gauss, [[(1, 0)], [(3, 1)]]))
-    assert _visits(unit) == (
-        [([], 0), ([[1, 0], [0, 1]], 1), ([[1, 3], [0, 10]], 10)],
-        ((0, 1, 1, 1), (1, 1, 10, 1)),
-    )
+    assert _visits(unit) == ([([], 0), ([[1, 3], [0, 10]], 10)], ((0, 1, 1, 1), (1, 1, 10, 1)))
+    # Only the prefill's own call sees index 1.
+    assert all(det != 1 for arr in _walk_cases() for _, det in _visits(arr)[0])
 
 
 def test_every_walk_is_capped():

@@ -209,6 +209,15 @@ def test_dual_command(sqrt3_file, tmp_path, capsys):
     assert run_cli(capsys, "verify", str(out_path))[0] == 0
 
 
+def test_dual_refused_write_prints_nothing(sqrt3_file, tmp_path, capsys):
+    # The stacked arrangement is saved before the dual table is printed, so
+    # a write into a missing directory leaves stdout empty.
+    out_path = tmp_path / "missing" / "stacked.json"
+    code, out, err = run_cli(capsys, "dual", sqrt3_file, "--emit-arrangement", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and not out_path.parent.exists()
+
+
 def test_commands_expand_only_what_they_walk(sqrt3_file, tmp_path, capsys, monkeypatch):
     calls = [0]
     original = ellmat.arrangement.expand_lambda

@@ -27,18 +27,17 @@ from support import (
 
 
 def test_make_field_half_integral():
-    field = make_field(3)
-    assert field.half_integral
-    assert field.m_prime == 1
-    assert make_field(7).m_prime == 2
-    assert make_field(15).m_prime == 4
+    # omega = (1 + sqrt(-m))/2 has trace 1 and norm (m + 1)/4.
+    assert make_field(3) == (3, 1, 1)
+    assert (make_field(7).trace, make_field(7).norm) == (1, 2)
+    assert (make_field(15).trace, make_field(15).norm) == (1, 4)
 
 
 def test_make_field_pure_imaginary():
+    # omega = sqrt(-m) has trace 0 and norm m.
     for m in (1, 2, 5, 6):
         field = make_field(m)
-        assert not field.half_integral
-        assert field.m_prime is None
+        assert (field.trace, field.norm) == (0, m)
 
 
 def test_make_field_rejects_bad_m():
@@ -166,11 +165,12 @@ def test_derived_constants_invariants():
 def test_min_poly_has_tau_as_root_exactly():
     # With c^2 cleared, tau = (a + b*omega)/c is a root when
     # N*(a + b*omega)^2 - gen_trace*c*(a + b*omega) + delta_prime*c^2 = 0,
-    # computed on pairs x + y*omega of Z[omega] from omega's own relation.
+    # computed on pairs x + y*omega of Z[omega] from omega's own relation,
+    # read off m and not off the field's trace and norm.
     for field, a, b, c in _valid_triples():
         curve = make_curve(field, a, b, c)
-        if field.half_integral:
-            square = (a * a - b * b * field.m_prime, 2 * a * b + b * b)
+        if field.m % 4 == 3:
+            square = (a * a - b * b * ((field.m + 1) // 4), 2 * a * b + b * b)
         else:
             square = (a * a - b * b * field.m, 2 * a * b)
         poly = min_poly(curve)
