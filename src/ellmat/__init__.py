@@ -21,7 +21,6 @@ from .linalg import RingMatrix, expand_lambda, row_select, smith_form
 from .arrangement import EllipticArrangement, dual_arrangement
 from .matroid import (
     ArithmeticMatroid,
-    BiPoly,
     Violation,
     char_poly,
     check_axioms,
@@ -31,6 +30,7 @@ from .matroid import (
     gcd_property,
     poly_str,
     tutte,
+    tutte_str,
 )
 from .fileio import (
     load_arrangement,

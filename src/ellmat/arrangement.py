@@ -61,17 +61,16 @@ and never changes.  Every walk fills two tables of the subsets it covers,
 the ranks and one measure of the torsion, both prefilled with the values
 of index 1 (rank n, no torsion).  At index 1 the quotient is trivial, so
 the walk stops at such a node without measuring it, and the node and its
-subtree keep the prefill.  `reports()` is the walk over all 2^k subsets in
-ascending bitmask order, measuring the multiplicity; its pair (rk, m) of
-int tuples is the shape `ArithmeticMatroid` takes.
-`superset_reports(fixed)` walks the subsets containing `fixed`, whose
-rows are inserted first as a shared prefix.  `order_basis_reports()`
-walks the expansion over the R-basis {1, N*tau} instead, which gives the
-same multiplicities from a different integer matrix.  `torsion_chains()`
-is the walk of `reports()` measuring the invariant factors above 1 of
-every subset, m(S) being their product.  A walk over more than
-MAX_GROUND free divisors is refused when it is called, before its rows
-are expanded.
+subtree keep the prefill.  `reports(fixed)` walks the subsets containing
+`fixed`, whose rows are inserted first as a shared prefix, measuring the
+multiplicity; `reports()` covers all 2^k subsets in ascending bitmask
+order, and its pair (rk, m) of int tuples is the shape `ArithmeticMatroid`
+takes.  `order_basis_reports()` walks the expansion over the R-basis
+{1, N*tau} instead, which gives the same multiplicities from a different
+integer matrix.  `torsion_chains()` is the walk of `reports()` measuring
+the invariant factors above 1 of every subset, m(S) being their product.
+A walk over more than MAX_GROUND free divisors is refused when it is
+called, before its rows are expanded.
 """
 
 from __future__ import annotations
@@ -219,8 +218,9 @@ class EllipticArrangement:
         rec(0, 0, echelon_basis(fixed_rows, 2 * n), pairs)
         return tuple(rk), tuple(values)
 
-    def superset_reports(self, fixed: int) -> Tables:
-        """The (rk, m) tables of the subsets containing `fixed`, computed afresh.
+    def reports(self, fixed: int = 0) -> Tables:
+        """The (rk, m) tables of the subsets containing `fixed`, all subsets
+        by default, computed afresh.
 
         They come in the bitmask order of the divisors outside `fixed`, the
         order of the contraction by `fixed`.
@@ -228,10 +228,6 @@ class EllipticArrangement:
         if not 0 <= fixed < 1 << self.k:
             raise ParameterError(f"subset {fixed:#x} out of range for {self.k} divisors")
         return self._walk(expand_lambda, fixed, _multiplicity)
-
-    def reports(self) -> Tables:
-        """The (rk, m) tables of all subsets in ascending bitmask order."""
-        return self._walk(expand_lambda, 0, _multiplicity)
 
     def order_basis_reports(self) -> Tables:
         """The (rk, m) tables of all subsets recomputed afresh by the walk of

@@ -43,6 +43,7 @@ from .matroid import (
     gcd_property,
     poly_str,
     tutte,
+    tutte_str,
 )
 from .quadratic_order import CurveParams, ParameterError, make_curve, make_field, min_poly
 
@@ -132,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 name: {"ok": not v, "violations": [vi.detail for vi in v]}
                 for name, v in verdicts.items()
             },
-            "tutte": [list(t) for t in t_poly.terms],
+            "tutte": [list(t) for t in t_poly],
             "char_poly": list(chi),
             "euler": euler,
             "gcd_property": {
@@ -150,7 +151,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print()
     _print_rows(_subset_rows(matroid, arr.n, chains))
     print()
-    print(f"tutte polynomial: {t_poly.format()}")
+    print(f"tutte polynomial: {tutte_str(t_poly)}")
     print(f"characteristic polynomial: {poly_str(chi)}")
     if essential:
         print(f"euler characteristic: {euler}")
@@ -196,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_tutte(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
-    print(tutte(from_arrangement(arr)).format())
+    print(tutte_str(tutte(from_arrangement(arr))))
     return 0
 
 

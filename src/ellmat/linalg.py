@@ -16,7 +16,7 @@ and the Smith form all share one shape.
 
 One integer elimination, `echelon_insert` (exact and extended-gcd row
 steps over Python integers), builds the echelon bases of the walk of
-`arrangement` and the alternating row and column passes of `smith_form`.
+`arrangement` and the alternating column and row passes of `smith_form`.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
     `matrix`, a map Z^cols -> Z^rows of rank r = len(result); the rows are
     never changed.
 
-    Echelon passes alternate over the rows and the columns (Kannan & Bachem,
+    Echelon passes alternate over the columns and the rows (Kannan & Bachem,
     SIAM J. Comput. 1979) until each row has one nonzero entry.  A pass's
     leading pivot is the gcd of its column, so its magnitude never grows,
     and it falls unless it divides its row and its column; once it does,
@@ -83,7 +83,7 @@ def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
     for the trailing block.  Pairwise (gcd, lcm) steps then make the
     diagonal a divisibility chain.
     """
-    rows = [b for b in echelon_basis(matrix, len(matrix[0]) if matrix else 0) if b]
+    rows = [b for b in echelon_basis(zip(*matrix), len(matrix)) if b]
     while any(len(row) - row.count(0) > 1 for row in rows):
         rows = [b for b in echelon_basis(zip(*rows), len(rows)) if b]
     diagonal = [abs(next(filter(None, row))) for row in rows]

@@ -176,7 +176,7 @@ def _local_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
     r3: list[Violation] = []
     a1: list[Violation] = []
     for s in range(1 << matroid.size):
-        base, ms = rk[s], m[s]
+        base = rk[s]
         outside = [1 << i for i in range(matroid.size) if not s >> i & 1]
         for pos, bit in enumerate(outside):
             si = s | bit
@@ -187,17 +187,11 @@ def _local_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
                     f"to {format_subset(s)}"
                 )
                 r2.append(Violation("r2", (s, si), detail))
-            if step == base:
-                if ms % m[si]:
-                    detail = (
-                        f"m({format_subset(si)}) = {m[si]} does not divide "
-                        f"m({format_subset(s)}) = {ms}"
-                    )
-                    a1.append(Violation("a1", (s, si), detail))
-            elif m[si] % ms:
+            divisor, multiple = (si, s) if step == base else (s, si)
+            if m[multiple] % m[divisor]:
                 detail = (
-                    f"m({format_subset(s)}) = {ms} does not divide "
-                    f"m({format_subset(si)}) = {m[si]}"
+                    f"m({format_subset(divisor)}) = {m[divisor]} does not divide "
+                    f"m({format_subset(multiple)}) = {m[multiple]}"
                 )
                 a1.append(Violation("a1", (s, si), detail))
             for other in outside[pos + 1 :]:
@@ -383,7 +377,7 @@ def check_axioms(
         found.update(_interval_pass(matroid))
     if _ARRANGEMENT_CHECKS.intersection(names):
         stacked, t_mask = dual_arrangement(arrangement)
-        supersets = stacked.superset_reports(t_mask)
+        supersets = stacked.reports(t_mask)
     if "dual" in names:
         found["dual"] = _dual_check(supersets, t_mask, matroid)
     if "coker-xcheck" in names:
@@ -409,27 +403,10 @@ def gcd_property(matroid: ArithmeticMatroid) -> tuple[bool, int | None]:
     return True, None
 
 
-class BiPoly(NamedTuple):
-    """Bivariate integer polynomial as sorted (deg1, deg2, coeff) terms."""
-
-    terms: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[tuple[int, int], int]) -> "BiPoly":
-        cleaned = sorted((i, j, c) for (i, j), c in coeffs.items() if c != 0)
-        return cls(tuple(cleaned))
-
-    def format(self) -> str:
-        ordered = sorted(self.terms, key=lambda t: (-(t[0] + t[1]), -t[0]))
-        return format_terms(
-            (c, "*".join(v if d == 1 else f"{v}^{d}" for v, d in (("x", i), ("y", j)) if d))
-            for i, j, c in ordered
-        )
-
-
-def tutte(matroid: ArithmeticMatroid) -> BiPoly:
+def tutte(matroid: ArithmeticMatroid) -> tuple[tuple[int, int, int], ...]:
     """Arithmetic Tutte polynomial
-    sum over S of m(S) (x-1)^(rk(E)-rk(S)) (y-1)^(|S|-rk(S)).
+    sum over S of m(S) (x-1)^(rk(E)-rk(S)) (y-1)^(|S|-rk(S)),
+    as its sorted nonzero terms (deg x, deg y, coeff).
 
     m(S) is summed per exponent pair first, so the binomials are expanded
     once per pair rather than once per subset.
@@ -446,7 +423,17 @@ def tutte(matroid: ArithmeticMatroid) -> BiPoly:
             for j in range(q + 1):
                 cj = comb(q, j) * (-1 if (q - j) & 1 else 1)
                 acc[(i, j)] = acc.get((i, j), 0) + w * ci * cj
-    return BiPoly.from_dict(acc)
+    return tuple(sorted((i, j, c) for (i, j), c in acc.items() if c))
+
+
+def tutte_str(terms: Iterable[tuple[int, int, int]]) -> str:
+    """Render (deg x, deg y, coeff) terms as a polynomial in x and y,
+    highest total degree first."""
+    ordered = sorted(terms, key=lambda t: (-(t[0] + t[1]), -t[0]))
+    return format_terms(
+        (c, "*".join(v if d == 1 else f"{v}^{d}" for v, d in (("x", i), ("y", j)) if d))
+        for i, j, c in ordered
+    )
 
 
 def char_poly(matroid: ArithmeticMatroid) -> tuple[int, ...]:

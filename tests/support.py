@@ -11,7 +11,6 @@ from math import comb, gcd, isqrt, prod
 from typing import NamedTuple
 
 from ellmat import (
-    BiPoly,
     EllipticArrangement,
     FieldParams,
     ParameterError,
@@ -648,7 +647,7 @@ def rank_and_a1_scan(matroid) -> dict:
     return {"rank": tuple(rank), "a1": tuple(a1)}
 
 
-def tutte_per_subset(matroid) -> BiPoly:
+def tutte_per_subset(matroid) -> tuple[tuple[int, int, int], ...]:
     """The arithmetic Tutte polynomial with the binomials expanded once per subset."""
     r = matroid.full_rank
     acc: dict[tuple[int, int], int] = {}
@@ -660,12 +659,12 @@ def tutte_per_subset(matroid) -> BiPoly:
             for j in range(q + 1):
                 cj = comb(q, j) * (-1 if (q - j) & 1 else 1)
                 acc[(i, j)] = acc.get((i, j), 0) + matroid.m[s] * ci * cj
-    return BiPoly.from_dict(acc)
+    return tuple(sorted((i, j, c) for (i, j), c in acc.items() if c))
 
 
-def bipoly_eval(poly: BiPoly, x: int, y: int) -> int:
-    """The bivariate polynomial at (x, y), term by term."""
-    return sum(c * x**i * y**j for i, j, c in poly.terms)
+def tutte_eval(terms: tuple[tuple[int, int, int], ...], x: int, y: int) -> int:
+    """The polynomial of (deg x, deg y, coeff) terms at (x, y), term by term."""
+    return sum(c * x**i * y**j for i, j, c in terms)
 
 
 def poly_eval(coeffs: tuple[int, ...], value: int) -> int:

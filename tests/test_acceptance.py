@@ -26,7 +26,6 @@ from support import (
     FIXTURE_OMEGA_DOC,
     FIXTURE_SQRT3_DOC,
     arrangement_corpus,
-    bipoly_eval,
     curve_half_i,
     curve_sqrt3,
     generator_index_oracle,
@@ -39,6 +38,7 @@ from support import (
     poly_eval,
     prime_factors,
     splits,
+    tutte_eval,
     union_point_count,
 )
 
@@ -224,7 +224,7 @@ def test_criterion_09_euler_characteristic(capsys):
     arr = new_realization_sqrt3()
     matroid = from_arrangement(arr)
     euler = euler_characteristic(matroid, arr.n)
-    via_tutte = -bipoly_eval(tutte(matroid), 1, 0)
+    via_tutte = -tutte_eval(tutte(matroid), 1, 0)
     via_char = poly_eval(char_poly(matroid), 0)
     via_points = -(4 + 4 - 2)
     fixture_ok = euler == via_tutte == via_char == via_points == -6

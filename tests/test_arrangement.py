@@ -56,6 +56,7 @@ def test_multiplicities_over_maximal_order():
 
 def test_ranks_and_layer_dimensions():
     arr = new_realization_sqrt3()
+    assert repr(arr) == "EllipticArrangement(k=2, n=1, m=3)"
     assert subset_report(arr, 0)[0] == 0
     assert subset_report(arr, 0b11)[0] == 1
     assert arr.n - subset_report(arr, 0)[0] == 1
@@ -93,9 +94,9 @@ def test_zero_rows_behave_as_loops():
 def test_subset_out_of_range():
     arr = new_realization_sqrt3()
     with pytest.raises(ParameterError):
-        arr.superset_reports(4)
+        arr.reports(4)
     with pytest.raises(ParameterError):
-        arr.superset_reports(-1)
+        arr.reports(-1)
 
 
 def _is_essential(arr: EllipticArrangement) -> bool:
@@ -155,7 +156,7 @@ def test_multiplicity_divisibility_chains():
 def test_multiplicity_triangulates_across_three_paths():
     for arr in arrangement_corpus(30, seed=52):
         stacked, t_mask = dual_arrangement(arr)
-        _, supersets_m = stacked.superset_reports(t_mask)
+        _, supersets_m = stacked.reports(t_mask)
         e = (1 << arr.k) - 1
         for s, direct in enumerate(arr.reports()[1]):
             via_conj = multiplicity_via_conj_transpose(arr, s)
@@ -192,13 +193,13 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
 
 def _count_superset_walks(monkeypatch) -> list[int]:
     calls = [0]
-    original = EllipticArrangement.superset_reports
+    original = EllipticArrangement.reports
 
-    def counted(self, fixed):
+    def counted(self, fixed=0):
         calls[0] += 1
         return original(self, fixed)
 
-    monkeypatch.setattr(EllipticArrangement, "superset_reports", counted)
+    monkeypatch.setattr(EllipticArrangement, "reports", counted)
     return calls
 
 
@@ -226,7 +227,7 @@ def test_smith_forms_per_walk(monkeypatch):
     # subsets, and dual shares the stacked walk.
     order_deficient = sum(1 for r in arr.order_basis_reports()[0] if r < arr.n)
     stacked, t_mask = dual_arrangement(arr)
-    stacked_deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
+    stacked_deficient = sum(1 for r in stacked.reports(t_mask)[0] if 0 < r < arr.k)
     before = index[0]
     walks = _count_superset_walks(monkeypatch)
     assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
@@ -342,7 +343,7 @@ def test_walks_match_exhaustive_minors():
         subsets = range(e + 1) if arr.k <= 5 else rng.sample(small, 12)
         reports, order = arr.reports(), arr.order_basis_reports()
         stacked, t_mask = dual_arrangement(arr)
-        supersets = stacked.superset_reports(t_mask)
+        supersets = stacked.reports(t_mask)
         for x in subsets:
             assert (reports[0][x], reports[1][x]) == _minor_report(_rows_of(arr, x))
             assert (order[0][x], order[1][x]) == _minor_report(_rows_of(arr, x, expand_order))
@@ -355,14 +356,14 @@ def test_walks_match_exhaustive_minors():
 def test_dual_walk_matches_per_subset_reports(monkeypatch):
     for arr in _walk_cases():
         stacked, t_mask = dual_arrangement(arr)
-        walked = stacked.superset_reports(t_mask)
+        walked = stacked.reports(t_mask)
         assert walked == _slow_tables(stacked, (s | t_mask for s in range(1 << arr.k)))
     smith = _count_calls(monkeypatch, "smith_form")
     index = _count_calls(monkeypatch, "_column_index")
     arr = random_arrangement(k=6, n=3, m=3, a=-1, b=2, c=1, bound=3, seed=4)
     matroid = from_arrangement(arr)
     stacked, t_mask = dual_arrangement(arr)
-    deficient = sum(1 for r in stacked.superset_reports(t_mask)[0] if 0 < r < arr.k)
+    deficient = sum(1 for r in stacked.reports(t_mask)[0] if 0 < r < arr.k)
     before = index[0]
     assert check_axioms(matroid, ("dual",), arr) == {"dual": ()}
     # Only the rank-deficient supersets of T take the column index.
@@ -461,7 +462,7 @@ def test_projection_bounds_the_big_entry_bases():
 
 
 # Upper bounds on the echelon insertions of each walk, in the order
-# reports(), order_basis_reports(), the stacked superset_reports(T) and
+# reports(), order_basis_reports(), the stacked reports(T) and
 # torsion_chains(), keyed by the random_arrangement arguments at seed 1.
 WALK_INSERTIONS = {
     (10, 3, 3, -1, 2, 1, 3): (1198, 1198, 2032, 1198),
@@ -489,7 +490,7 @@ def test_walk_work_stays_within_its_bounds(monkeypatch):
         walks = (
             arr.reports,
             arr.order_basis_reports,
-            lambda: stacked.superset_reports(t_mask),
+            lambda: stacked.reports(t_mask),
             arr.torsion_chains,
         )
         counts = []
@@ -529,8 +530,8 @@ def test_every_walk_is_capped():
         arr.reports,
         arr.torsion_chains,
         arr.order_basis_reports,
-        lambda: arr.superset_reports(0),
-        lambda: stacked.superset_reports(t_mask),
+        lambda: arr.reports(0),
+        lambda: stacked.reports(t_mask),
     )
     message = "ground set of 21 elements exceeds the cap of 20"
     for walk in walks:
@@ -546,7 +547,7 @@ def test_superset_walk_is_linear_in_the_fixed_width():
     k = 400_000
     arr = EllipticArrangement(RingMatrix(curve_gauss(), k, 0, ((),) * k))
     start = time.monotonic()
-    assert arr.superset_reports((1 << k) - 1) == ((0,), (1,))
+    assert arr.reports((1 << k) - 1) == ((0,), (1,))
     assert time.monotonic() - start < 2.0
 
 
@@ -589,14 +590,14 @@ def test_walk_agrees_with_subset_report(case):
         fixed | sum(1 << j for i, j in enumerate(free) if s >> i & 1)
         for s in range(1 << len(free))
     ]
-    assert arr.superset_reports(fixed) == _slow_tables(arr, wide)
+    assert arr.reports(fixed) == _slow_tables(arr, wide)
     assert list(arr.order_basis_reports()[1]) == [
         multiplicity_via_order_basis(arr, s) for s in range(1 << arr.k)
     ]
     # The stacked-dual identity: the walk of (I_k over A^H) over the supersets
     # of T has at E - S the multiplicity of the conjugate transpose of rows S.
     stacked, t_mask = dual_arrangement(arr)
-    supersets_m, e = stacked.superset_reports(t_mask)[1], (1 << arr.k) - 1
+    supersets_m, e = stacked.reports(t_mask)[1], (1 << arr.k) - 1
     assert [supersets_m[e ^ s] for s in range(e + 1)] == [
         multiplicity_via_conj_transpose(arr, s) for s in range(e + 1)
     ]

@@ -283,6 +283,9 @@ def test_order_info_rejects_bad_tau(capsys):
     code, _, err = run_cli(capsys, "order-info", "--m", "1", "--tau", "0,1")
     assert code == 2
     assert "error:" in err
+    code, _, err = run_cli(capsys, "order-info", "--m", "3", "--tau", "1,x,3")
+    assert code == 2
+    assert err == "error: --tau expects integers, got '1,x,3'\n"
 
 
 def test_random_is_deterministic(tmp_path, capsys):

@@ -76,6 +76,8 @@ def _broken(mutate):
         lambda d: d["matrix"].update(rows=0, cols=10**18, entries=[]),
         lambda d: d["matrix"].update(rows=10**6 + 1, cols=0, entries=[]),
         lambda d: d["matrix"].update(rows=1001, cols=1000, entries=[]),
+        lambda d: d["matrix"].__setitem__("rows", -1),
+        lambda d: d["matrix"].__setitem__("cols", -1),
     ],
 )
 def test_parse_rejects_invalid_documents(mutate):
