@@ -67,8 +67,9 @@ multiplicity; `reports()` covers all 2^k subsets in ascending bitmask
 order, and its pair (rk, m) of int tuples is the shape `ArithmeticMatroid`
 takes.  `order_basis_reports()` walks the expansion over the R-basis
 {1, N*tau} instead, which gives the same multiplicities from a different
-integer matrix.  `torsion_chains()` is the walk of `reports()` measuring
-the invariant factors above 1 of every subset, m(S) being their product.
+integer matrix when N > 1 and is the lattice expansion when N = 1.
+`torsion_chains()` is the walk of `reports()` measuring the invariant
+factors above 1 of every subset, m(S) being their product.
 A walk over more than MAX_GROUND free divisors is refused when it is
 called, before its rows are expanded.
 """
@@ -255,7 +256,7 @@ def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int
     conjugate transpose match those of A, so the same curve parameters
     serve for the dual side.  Contracting the rows e_i, i in S, deletes the
     columns of divisor i, so S + T has the torsion order of the conjugate
-    transpose of the rows E - S of A: one walk serves both cross-checks.
+    transpose of the rows E - S of A: the dual check reads one walk of it.
     """
     rows = RingMatrix.identity(arr.curve, arr.k).entries + conj_transpose(arr.matrix).entries
     stacked = RingMatrix(arr.curve, arr.k + arr.n, arr.k, rows)

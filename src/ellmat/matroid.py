@@ -26,10 +26,12 @@ API: `check_axioms(matroid, names, arrangement=None)` is the one verdict
 call.  Its nine names are rank ((r1)-(r3)), a1, a2, p, p1, p2,
 p-equivalence ((P) holds exactly when (A2), (P1) and (P2) do), and the
 cross-checks dual and coker-xcheck, which also read the arrangement A the
-tables came from.  Both read one walk of the stacked arrangement
-(I_k over A^H) over the supersets of T: dual compares its contraction by
-T with the dual tables; coker-xcheck compares m(S) with one walk of the
-R-basis expansion of A at S and with the stacked walk at E - S.
+tables came from.  Each compares the tables with one other computation:
+dual, the dual tables with one walk of the stacked arrangement
+(I_k over A^H) over the supersets of T, contracted by T; coker-xcheck,
+each m(S) with one walk of the R-basis expansion of A.  On an N = 1
+curve that expansion is the lattice expansion itself, so there only dual
+checks the tables against a second matrix.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
@@ -50,7 +52,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .arrangement import EllipticArrangement, Tables, dual_arrangement
+from .arrangement import EllipticArrangement, dual_arrangement
 from .quadratic_order import ParameterError, format_terms
 
 
@@ -309,11 +311,12 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     }
 
 
-def _dual_check(stacked: Tables, t_mask: int, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
-    """Whether the stacked walk over the supersets of T, contracted by T,
-    gives the dual tables; it comes in the contraction's order, so its
-    first entry is T itself."""
-    rk, m = stacked
+def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
+    """Whether the stacked arrangement's walk over the supersets of T,
+    contracted by T, gives the dual tables; it comes in the contraction's
+    order, so its first entry is T itself."""
+    stacked, t_mask = dual_arrangement(arr)
+    rk, m = stacked.reports(t_mask)
     contraction = ArithmeticMatroid(matroid.size, tuple(r - rk[0] for r in rk), m)
     if contraction == matroid.dual():
         return ()
@@ -321,20 +324,15 @@ def _dual_check(stacked: Tables, t_mask: int, matroid: ArithmeticMatroid) -> tup
     return (Violation("dual", (t_mask,), detail),)
 
 
-def _coker_check(
-    arr: EllipticArrangement, matroid: ArithmeticMatroid, stacked: Tables
-) -> tuple[Violation, ...]:
+def _coker_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Whether each m(S) of the tables equals the multiplicity at S of one
-    walk of the R-basis expansion of A, and the stacked walk's multiplicity
-    at E - S, that of the conjugate transpose of the rows S."""
+    walk of the R-basis expansion of A."""
     out = []
-    # Entry E - S of a table is entry S of its reverse.
-    triples = zip(matroid.m, arr.order_basis_reports()[1], reversed(stacked[1]))
-    for subset, (direct, via_order, via_conj) in enumerate(triples):
-        if not direct == via_order == via_conj:
+    for subset, (direct, via_order) in enumerate(zip(matroid.m, arr.order_basis_reports()[1])):
+        if direct != via_order:
             detail = (
                 f"multiplicity of {format_subset(subset)} disagrees across bases: "
-                f"{direct} / {via_order} / {via_conj}"
+                f"{direct} / {via_order}"
             )
             out.append(Violation("coker-xcheck", (subset,), detail))
     return tuple(out)
@@ -354,13 +352,14 @@ def check_axioms(
       (A2), (P1) and (P2) all do) are read off one interval pass;
     - dual checks that the stacked arrangement contracted by T realizes
       the dual tables, and coker-xcheck that every m(S) agrees with the
-      walk of the R-basis expansion at S and the stacked superset at E - S.
-      Both read `arrangement`, the arrangement A the tables came from, and
-      raise ParameterError without it or when its ground set differs from
-      the tables'.
+      walk of the R-basis expansion at S, which on an N = 1 curve is the
+      lattice expansion again.  Both read `arrangement`, the arrangement
+      A the tables came from, and raise ParameterError without it or when
+      its ground set differs from the tables'.
 
-    Each pass runs at most once, and only when one of its names is asked;
-    the two cross-checks share one walk of the stacked arrangement.
+    Each pass or walk runs at most once, and only when one of its names is
+    asked: dual walks the stacked arrangement, coker-xcheck the R-basis
+    expansion.
     """
     names = tuple(dict.fromkeys(names))
     unknown = [name for name in names if name not in AXIOM_NAMES]
@@ -375,13 +374,10 @@ def check_axioms(
         found.update(_local_pass(matroid))
     if _INTERVAL_AXIOMS.intersection(names):
         found.update(_interval_pass(matroid))
-    if _ARRANGEMENT_CHECKS.intersection(names):
-        stacked, t_mask = dual_arrangement(arrangement)
-        supersets = stacked.reports(t_mask)
     if "dual" in names:
-        found["dual"] = _dual_check(supersets, t_mask, matroid)
+        found["dual"] = _dual_check(arrangement, matroid)
     if "coker-xcheck" in names:
-        found["coker-xcheck"] = _coker_check(arrangement, matroid, supersets)
+        found["coker-xcheck"] = _coker_check(arrangement, matroid)
     return {name: found[name] for name in names}
 
 

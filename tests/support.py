@@ -238,8 +238,9 @@ def subset_report(arr: EllipticArrangement, subset: int) -> tuple[int, int]:
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the R-basis expansion of the selected rows.
 
-    One Smith form per subset: the oracle for the order-basis leg of
-    coker-xcheck, which reads the walk of `order_basis_reports`.
+    One Smith form per subset: the oracle for the walk of
+    `order_basis_reports`, the one computation coker-xcheck compares the
+    tables with.  On an N = 1 curve this is the lattice expansion again.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
     return prod(smith_form(expand_order(row_select(arr.matrix, rows))))
@@ -248,8 +249,9 @@ def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
 def multiplicity_via_conj_transpose(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the conjugate transpose of the selected rows.
 
-    One Smith form per subset: the oracle for the conjugate leg of
-    coker-xcheck, which reads the stacked walk of `dual_arrangement` at E - S.
+    One Smith form per subset: the oracle for the stacked walk of
+    `dual_arrangement` that the dual check reads, whose multiplicity at
+    (E - S) + T is this one.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
     flipped = conj_transpose(row_select(arr.matrix, rows))

@@ -162,7 +162,7 @@ def test_multiplicity_triangulates_across_three_paths():
             via_conj = multiplicity_via_conj_transpose(arr, s)
             assert direct == multiplicity_via_order_basis(arr, s)
             assert direct == via_conj
-            # The stacked identity coker-xcheck reads its conjugate leg from.
+            # The stacked identity dual's walk rests on.
             assert supersets_m[e ^ s] == via_conj
 
 
@@ -191,15 +191,18 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def _count_superset_walks(monkeypatch) -> list[int]:
-    calls = [0]
-    original = EllipticArrangement.reports
+def _count_walks(monkeypatch) -> dict[str, int]:
+    """Count the calls to the superset walk `reports` and to the R-basis
+    walk `order_basis_reports` of every arrangement."""
+    calls = {"reports": 0, "order_basis_reports": 0}
+    for name in calls:
+        original = getattr(EllipticArrangement, name)
 
-    def counted(self, fixed=0):
-        calls[0] += 1
-        return original(self, fixed)
+        def counted(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
 
-    monkeypatch.setattr(EllipticArrangement, "reports", counted)
+        monkeypatch.setattr(EllipticArrangement, name, counted)
     return calls
 
 
@@ -221,22 +224,24 @@ def test_smith_forms_per_walk(monkeypatch):
     # empty one's basis included, and of nothing else.
     deficient = sum(1 for r in table[0] if r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
-    # coker-xcheck reads its order-basis leg off one walk of the R-basis
-    # expansion and its conjugate leg off one walk of the stacked
-    # arrangement; each takes the column index of its own rank-deficient
-    # subsets, and dual shares the stacked walk.
+    # coker-xcheck makes one walk of the R-basis expansion and dual one
+    # walk of the stacked arrangement; each takes the column index of its
+    # own rank-deficient subsets, and neither makes the other's walk.
     order_deficient = sum(1 for r in arr.order_basis_reports()[0] if r < arr.n)
     stacked, t_mask = dual_arrangement(arr)
     stacked_deficient = sum(1 for r in stacked.reports(t_mask)[0] if 0 < r < arr.k)
-    before = index[0]
-    walks = _count_superset_walks(monkeypatch)
-    assert check_axioms(matroid, ("coker-xcheck",), arr) == {"coker-xcheck": ()}
-    assert 0 < index[0] - before == order_deficient + stacked_deficient
-    assert walks[0] == 1
-    both = check_axioms(matroid, ("dual", "coker-xcheck"), arr)
-    assert both == {"dual": (), "coker-xcheck": ()}
-    assert index[0] - before == 2 * (order_deficient + stacked_deficient)
-    assert walks[0] == 2
+    assert order_deficient > 0 and stacked_deficient > 0
+    walks = _count_walks(monkeypatch)
+    for names, order_walks, superset_walks, taken in (
+        (("coker-xcheck",), 1, 0, order_deficient),
+        (("dual",), 0, 1, stacked_deficient),
+        (("dual", "coker-xcheck"), 1, 1, order_deficient + stacked_deficient),
+    ):
+        before = index[0]
+        walks.update(reports=0, order_basis_reports=0)
+        assert check_axioms(matroid, names, arr) == dict.fromkeys(names, ())
+        assert index[0] - before == taken
+        assert walks == {"reports": superset_walks, "order_basis_reports": order_walks}
     # No walk but torsion_chains takes a Smith form; it takes one of every
     # subset it measures, those of index other than 1, each rank-deficient
     # or torsion-bearing, and one of the empty basis for its prefill.
@@ -618,21 +623,22 @@ def test_xgcd_matches_euclid(common, x, y):
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
-    arr = random_arrangement(k=4, n=2, m=1, a=0, b=1, c=1, bound=3, seed=5)
-    matroid = from_arrangement(arr)
-    m = list(matroid.m)
-    m[0b0110] *= 3
-    tampered = ArithmeticMatroid(matroid.size, matroid.rk, tuple(m))
-    found = check_axioms(tampered, ("coker-xcheck",), arr)["coker-xcheck"]
-    true_m = matroid.m[0b0110]
-    assert [(v.subsets, v.detail) for v in found] == [
-        (
-            (0b0110,),
-            f"multiplicity of {{2,3}} disagrees across bases: {3 * true_m} / {true_m} / {true_m}",
-        )
-    ]
-    with pytest.raises(ParameterError):
-        check_axioms(matroid.deletion(1), ("coker-xcheck",), arr)
+    # Over Z[i] (N = 1) the R-basis walk is the lattice walk again; over
+    # <1, 3*sqrt(-2)> (N = 9) it walks a different integer matrix.
+    for m_param, c in ((1, 1), (2, 3)):
+        arr = random_arrangement(k=4, n=2, m=m_param, a=0, b=1, c=c, bound=3, seed=5)
+        assert arr.curve.N == c * c
+        matroid = from_arrangement(arr)
+        m = list(matroid.m)
+        m[0b0110] *= 3
+        tampered = ArithmeticMatroid(matroid.size, matroid.rk, tuple(m))
+        found = check_axioms(tampered, ("coker-xcheck",), arr)["coker-xcheck"]
+        true_m = matroid.m[0b0110]
+        assert [(v.subsets, v.detail) for v in found] == [
+            ((0b0110,), f"multiplicity of {{2,3}} disagrees across bases: {3 * true_m} / {true_m}")
+        ]
+        with pytest.raises(ParameterError):
+            check_axioms(matroid.deletion(1), ("coker-xcheck",), arr)
 
 
 def test_subset_report_raises_on_odd_rank(monkeypatch):

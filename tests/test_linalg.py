@@ -178,6 +178,11 @@ def test_expansions_coincide_when_n_is_one():
     for _ in range(20):
         mat = random_ring_matrix(rng, curve_sqrt3(), rng.randint(1, 3), rng.randint(1, 3), 4)
         assert expand_lambda(mat) == expand_order(mat)
+    # The two bases differ by the factor N on the coordinate of N*tau, so
+    # the expansions are equal exactly when N = 1 or no entry has one.
+    for mat in matrix_corpus(500):
+        integral = all(y == 0 for row in mat.entries for _, y in row)
+        assert (expand_lambda(mat) == expand_order(mat)) == (mat.curve.N == 1 or integral)
 
 
 def test_expand_order_scalar():
