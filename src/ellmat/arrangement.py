@@ -65,9 +65,8 @@ subtree keep the prefill.  `reports(fixed)` walks the subsets containing
 `fixed`, whose rows are inserted first as a shared prefix, measuring the
 multiplicity; `reports()` covers all 2^k subsets in ascending bitmask
 order, and its pair (rk, m) of int tuples is the shape `ArithmeticMatroid`
-takes.  `order_basis_reports()` walks the expansion over the R-basis
-{1, N*tau} instead, which gives the same multiplicities from a different
-integer matrix when N > 1 and is the lattice expansion when N = 1.
+takes.  The cokernel cross-check of `matroid` calls it on A over the
+curve C/R of `quadratic_order.order_curve`, whose lattice is R itself.
 `torsion_chains()` is the walk of `reports()` measuring the invariant
 factors above 1 of every subset, m(S) being their product.
 A walk over more than MAX_GROUND free divisors is refused when it is
@@ -85,7 +84,6 @@ from .linalg import (
     echelon_basis,
     echelon_insert,
     expand_lambda,
-    expand_order,
     smith_form,
 )
 from .quadratic_order import CurveParams, ParameterError
@@ -172,9 +170,9 @@ class EllipticArrangement:
     def n(self) -> int:
         return self.matrix.n
 
-    def _walk(self, expand: Callable, fixed: int, measure: Callable) -> tuple[tuple, tuple]:
+    def _walk(self, fixed: int, measure: Callable) -> tuple[tuple, tuple]:
         """The rank table and the `measure` table of the subsets containing
-        `fixed`, from one echelon walk of the 2k rows `expand(self.matrix)`.
+        `fixed`, from one echelon walk of the 2k rows of `expand_lambda`.
 
         Entry `narrow` is the subset whose divisors outside `fixed` are the
         bits of `narrow`, renumbered in ascending order, so the subset itself
@@ -189,7 +187,7 @@ class EllipticArrangement:
         free = k - fixed.bit_count()
         if free > MAX_GROUND:
             raise ParameterError(f"ground set of {free} elements exceeds the cap of {MAX_GROUND}")
-        expansion = expand(self.matrix)
+        expansion = expand_lambda(self.matrix)
         # The bits of `fixed`, read once: a shift per bit would cost O(k^2).
         inside = f"{fixed:0{k}b}"[::-1]
         pairs = [(expansion[j], expansion[k + j]) for j in range(k) if inside[j] == "0"]
@@ -228,19 +226,13 @@ class EllipticArrangement:
         """
         if not 0 <= fixed < 1 << self.k:
             raise ParameterError(f"subset {fixed:#x} out of range for {self.k} divisors")
-        return self._walk(expand_lambda, fixed, _multiplicity)
-
-    def order_basis_reports(self) -> Tables:
-        """The (rk, m) tables of all subsets recomputed afresh by the walk of
-        the R-basis expansion instead of the lattice expansion, in ascending
-        bitmask order."""
-        return self._walk(expand_order, 0, _multiplicity)
+        return self._walk(fixed, _multiplicity)
 
     def torsion_chains(self) -> tuple[Tables, tuple[tuple[int, ...], ...]]:
         """The (rk, m) tables of `reports()` and the invariant factors above 1
         of each subset's cokernel torsion, in ascending bitmask order, from
         one walk; m(S) is the product of the factors of S."""
-        rk, chains = self._walk(expand_lambda, 0, _chain)
+        rk, chains = self._walk(0, _chain)
         return (rk, tuple(map(prod, chains))), chains
 
     def __repr__(self) -> str:

@@ -1,17 +1,19 @@
-"""Exact integer linear algebra: Smith normal form and order-matrix expansions.
+"""Exact integer linear algebra: Smith normal form and lattice expansions.
 
-A k x n matrix A over the order R = <1, w>, w = N*tau, acts Z-linearly both
-on powers of the lattice L = <1, tau> and on powers of R itself.  Writing
-A = X + Y*w with integer matrices X and Y, and abbreviating s = trace(w)
-and d = delta_prime (so norm(w) = N*d), the two actions have block forms
+A k x n matrix A over the order R = <1, w>, w = N*tau, acts Z-linearly on
+powers of the lattice L = <1, tau>.  Writing A = X + Y*w with integer
+matrices X and Y, and abbreviating s = trace(w) and d = delta_prime (so
+norm(w) = N*d), the action on L-coordinates has the block form
 
-    on L-coordinates:  [[X, -Y*d ], [Y*N, X + Y*s]]
-    on R-coordinates:  [[X, -Y*d*N], [Y,  X + Y*s]]
+    [[X, -Y*d], [Y*N, X + Y*s]].
+
+Its action on R itself is this form over the curve C/R whose lattice is R
+(`quadratic_order.order_curve`), where N = 1 and d is N*d.
 
 Rows and columns are blocked: all first coordinates precede all second
 coordinates, each block in ascending original index order.  An entry of A
 is a plain (x, y) pair of ints meaning x + y*w, and integer matrices are
-plain lists of rows, so the expansions, the echelon bases of `arrangement`
+plain lists of rows, so the expansion, the echelon bases of `arrangement`
 and the Smith form all share one shape.
 
 One integer elimination, `echelon_insert` (exact and extended-gcd row
@@ -132,24 +134,13 @@ class RingMatrix(_Matrix):
         return cls(curve, k, k, rows)
 
 
-def _expand(a: RingMatrix, low: int, high: int) -> list[list[int]]:
-    """The 2k rows [[X, -Y*d*high], [Y*low, X + Y*s]] with low*high = N."""
-    cv = a.curve
-    s = cv.gen_trace
-    dh = cv.delta_prime * high
-    top = [[x for x, _ in row] + [-dh * y for _, y in row] for row in a.entries]
-    bottom = [[low * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
-    return top + bottom
-
-
 def expand_lambda(a: RingMatrix) -> list[list[int]]:
-    """The 2k integer rows, of length 2n, of A acting on <1, tau>-coordinates."""
-    return _expand(a, a.curve.N, 1)
-
-
-def expand_order(a: RingMatrix) -> list[list[int]]:
-    """The 2k integer rows, of length 2n, of A acting on <1, N*tau>-coordinates."""
-    return _expand(a, 1, a.curve.N)
+    """The 2k integer rows [[X, -Y*d], [Y*N, X + Y*s]], of length 2n, of A
+    acting on <1, tau>-coordinates."""
+    N, s, d = a.curve.N, a.curve.gen_trace, a.curve.delta_prime
+    top = [[x for x, _ in row] + [-d * y for _, y in row] for row in a.entries]
+    bottom = [[N * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
+    return top + bottom
 
 
 def conj_transpose(a: RingMatrix) -> RingMatrix:

@@ -29,9 +29,10 @@ cross-checks dual and coker-xcheck, which also read the arrangement A the
 tables came from.  Each compares the tables with one other computation:
 dual, the dual tables with one walk of the stacked arrangement
 (I_k over A^H) over the supersets of T, contracted by T; coker-xcheck,
-each m(S) with one walk of the R-basis expansion of A.  On an N = 1
-curve that expansion is the lattice expansion itself, so there only dual
-checks the tables against a second matrix.
+each m(S) with one walk of A over the curve C/R whose lattice is the
+ring R itself (`quadratic_order.order_curve`).  On an N = 1 curve C/R
+is the curve itself, so there only dual checks the tables against a
+second matrix.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
@@ -53,7 +54,7 @@ from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .arrangement import EllipticArrangement, dual_arrangement
-from .quadratic_order import ParameterError, format_terms
+from .quadratic_order import ParameterError, format_terms, order_curve
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -326,9 +327,11 @@ def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[V
 
 def _coker_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Whether each m(S) of the tables equals the multiplicity at S of one
-    walk of the R-basis expansion of A."""
+    walk of A over the curve C/R, whose lattice expansion is A's expansion
+    over the R-basis {1, N*tau}."""
+    over_order = EllipticArrangement(arr.matrix._replace(curve=order_curve(arr.curve)))
     out = []
-    for subset, (direct, via_order) in enumerate(zip(matroid.m, arr.order_basis_reports()[1])):
+    for subset, (direct, via_order) in enumerate(zip(matroid.m, over_order.reports()[1])):
         if direct != via_order:
             detail = (
                 f"multiplicity of {format_subset(subset)} disagrees across bases: "
@@ -352,14 +355,13 @@ def check_axioms(
       (A2), (P1) and (P2) all do) are read off one interval pass;
     - dual checks that the stacked arrangement contracted by T realizes
       the dual tables, and coker-xcheck that every m(S) agrees with the
-      walk of the R-basis expansion at S, which on an N = 1 curve is the
-      lattice expansion again.  Both read `arrangement`, the arrangement
-      A the tables came from, and raise ParameterError without it or when
-      its ground set differs from the tables'.
+      walk of A over the curve C/R at S, C/R being the curve itself when
+      N = 1.  Both read `arrangement`, the arrangement A the tables came
+      from, and raise ParameterError without it or when its ground set
+      differs from the tables'.
 
     Each pass or walk runs at most once, and only when one of its names is
-    asked: dual walks the stacked arrangement, coker-xcheck the R-basis
-    expansion.
+    asked: dual walks the stacked arrangement, coker-xcheck A over C/R.
     """
     names = tuple(dict.fromkeys(names))
     unknown = [name for name in names if name not in AXIOM_NAMES]

@@ -6,7 +6,8 @@ field Q(sqrt(-m)), whose integers Z[omega] make_field keeps as omega's trace
 and norm.  R always has a Z-basis {1, N*tau} for a unique positive integer
 N.  The package reads R through four integers, which make_curve derives
 once and CurveParams keeps: N, the trace gen_trace of N*tau, delta_prime
-(N*tau has norm N*delta_prime) and the conductor.
+(N*tau has norm N*delta_prime) and the conductor.  order_curve gives the
+curve C/R whose lattice is R itself.
 
 All values are plain Python integers; nothing in this module, or anywhere
 else in the package, uses floating point.
@@ -147,6 +148,18 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
     if gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) != 1:
         raise AssertionError("minimal polynomial of tau is not primitive")
     return curve
+
+
+def order_curve(curve: CurveParams) -> CurveParams:
+    """The curve C/R whose lattice is the ring R of `curve`; `curve` itself when N = 1.
+
+    Its tau is N*tau = c_prime*(a + b*omega), so it has N = 1, delta_prime
+    N*delta_prime and the same gen_trace and conductor.  It is built here,
+    not by make_curve: c_prime*a may pass that function's 2^64 input limit.
+    """
+    c_prime = curve.conductor // abs(curve.b)
+    a, b, d = c_prime * curve.a, c_prime * curve.b, curve.N * curve.delta_prime
+    return curve._replace(a=a, b=b, c=1, N=1, delta_prime=d)
 
 
 def format_terms(terms: Iterable[tuple[int, str]]) -> str:

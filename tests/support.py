@@ -23,8 +23,9 @@ from ellmat import (
     row_select,
     smith_form,
 )
-from ellmat.linalg import conj_transpose, expand_order
+from ellmat.linalg import conj_transpose
 from ellmat.matroid import bit_indices, submasks
+from ellmat.quadratic_order import order_curve
 
 
 def curve_sqrt3():
@@ -235,12 +236,31 @@ def subset_report(arr: EllipticArrangement, subset: int) -> tuple[int, int]:
     return len(factors) // 2, prod(factors)
 
 
+def expand_order(a: RingMatrix) -> list[list[int]]:
+    """The 2k integer rows [[X, -Y*d*N], [Y, X + Y*s]] of A acting on
+    <1, N*tau>-coordinates, from the curve of A as it is.
+
+    The formula the library's expansion of A over the curve C/R must
+    equal; on an N = 1 curve it is the lattice expansion again.
+    """
+    cv = a.curve
+    s, dn = cv.gen_trace, cv.delta_prime * cv.N
+    top = [[x for x, _ in row] + [-dn * y for _, y in row] for row in a.entries]
+    bottom = [[y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
+    return top + bottom
+
+
+def over_order(arr: EllipticArrangement) -> EllipticArrangement:
+    """The arrangement of A over the curve C/R, the one coker-xcheck walks."""
+    return EllipticArrangement(arr.matrix._replace(curve=order_curve(arr.curve)))
+
+
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the R-basis expansion of the selected rows.
 
-    One Smith form per subset: the oracle for the walk of
-    `order_basis_reports`, the one computation coker-xcheck compares the
-    tables with.  On an N = 1 curve this is the lattice expansion again.
+    One Smith form per subset, of the oracle `expand_order`: the oracle
+    for the walk of A over C/R, the one computation coker-xcheck compares
+    the tables with.  On an N = 1 curve this is the lattice expansion again.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
     return prod(smith_form(expand_order(row_select(arr.matrix, rows))))

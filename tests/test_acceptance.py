@@ -20,7 +20,7 @@ from ellmat import (
     smith_form,
     tutte,
 )
-from ellmat.linalg import conj_transpose, expand_order
+from ellmat.linalg import conj_transpose
 from ellmat.matroid import AXIOM_NAMES
 from support import (
     FIXTURE_OMEGA_DOC,
@@ -28,6 +28,7 @@ from support import (
     arrangement_corpus,
     curve_half_i,
     curve_sqrt3,
+    expand_order,
     generator_index_oracle,
     ideal_gcd_oracle,
     make_field,

@@ -24,7 +24,6 @@ from ellmat import (
     row_select,
     smith_form,
 )
-from ellmat.linalg import expand_order
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
@@ -33,11 +32,13 @@ from support import (
     curve_omega3,
     curve_sqrt3,
     curve_third_sqrt2,
+    expand_order,
     minor_rank_and_torsion,
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
     new_realization_omega,
     new_realization_sqrt3,
+    over_order,
     points_corpus,
     subset_report,
     xgcd_by_euclid,
@@ -191,18 +192,17 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def _count_walks(monkeypatch) -> dict[str, int]:
-    """Count the calls to the superset walk `reports` and to the R-basis
-    walk `order_basis_reports` of every arrangement."""
-    calls = {"reports": 0, "order_basis_reports": 0}
-    for name in calls:
-        original = getattr(EllipticArrangement, name)
+def _count_walks(monkeypatch) -> dict[int, int]:
+    """Count the walks of every arrangement, keyed by the subset `fixed`
+    they keep: 0 for a walk of all subsets."""
+    calls: dict[int, int] = {}
+    original = EllipticArrangement._walk
 
-        def counted(self, *args, name=name, original=original):
-            calls[name] += 1
-            return original(self, *args)
+    def counted(self, fixed, measure):
+        calls[fixed] = calls.get(fixed, 0) + 1
+        return original(self, fixed, measure)
 
-        monkeypatch.setattr(EllipticArrangement, name, counted)
+    monkeypatch.setattr(EllipticArrangement, "_walk", counted)
     return calls
 
 
@@ -224,24 +224,25 @@ def test_smith_forms_per_walk(monkeypatch):
     # empty one's basis included, and of nothing else.
     deficient = sum(1 for r in table[0] if r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
-    # coker-xcheck makes one walk of the R-basis expansion and dual one
-    # walk of the stacked arrangement; each takes the column index of its
-    # own rank-deficient subsets, and neither makes the other's walk.
-    order_deficient = sum(1 for r in arr.order_basis_reports()[0] if r < arr.n)
+    # coker-xcheck makes one walk of all subsets, of A over C/R, and dual
+    # one walk of the supersets of T in the stacked arrangement; each takes
+    # the column index of its own rank-deficient subsets, and neither makes
+    # the other's walk.
+    order_deficient = sum(1 for r in over_order(arr).reports()[0] if r < arr.n)
     stacked, t_mask = dual_arrangement(arr)
     stacked_deficient = sum(1 for r in stacked.reports(t_mask)[0] if 0 < r < arr.k)
     assert order_deficient > 0 and stacked_deficient > 0
     walks = _count_walks(monkeypatch)
-    for names, order_walks, superset_walks, taken in (
-        (("coker-xcheck",), 1, 0, order_deficient),
-        (("dual",), 0, 1, stacked_deficient),
-        (("dual", "coker-xcheck"), 1, 1, order_deficient + stacked_deficient),
+    for names, expected, taken in (
+        (("coker-xcheck",), {0: 1}, order_deficient),
+        (("dual",), {t_mask: 1}, stacked_deficient),
+        (("dual", "coker-xcheck"), {0: 1, t_mask: 1}, order_deficient + stacked_deficient),
     ):
         before = index[0]
-        walks.update(reports=0, order_basis_reports=0)
+        walks.clear()
         assert check_axioms(matroid, names, arr) == dict.fromkeys(names, ())
         assert index[0] - before == taken
-        assert walks == {"reports": superset_walks, "order_basis_reports": order_walks}
+        assert walks == expected
     # No walk but torsion_chains takes a Smith form; it takes one of every
     # subset it measures, those of index other than 1, each rank-deficient
     # or torsion-bearing, and one of the empty basis for its prefill.
@@ -346,7 +347,7 @@ def test_walks_match_exhaustive_minors():
     for arr in _walk_cases():
         e = (1 << arr.k) - 1
         subsets = range(e + 1) if arr.k <= 5 else rng.sample(small, 12)
-        reports, order = arr.reports(), arr.order_basis_reports()
+        reports, order = arr.reports(), over_order(arr).reports()
         stacked, t_mask = dual_arrangement(arr)
         supersets = stacked.reports(t_mask)
         for x in subsets:
@@ -411,7 +412,7 @@ def _visits(arr: EllipticArrangement) -> tuple[list, tuple]:
         calls.append((rows, det))
         return ellmat.arrangement._multiplicity(rows, det)
 
-    tables = arr._walk(expand_lambda, 0, spy)
+    tables = arr._walk(0, spy)
     # The first call makes the prefill.
     return calls[1:], tables
 
@@ -438,7 +439,7 @@ def test_walk_takes_both_quotient_branches(monkeypatch):
     projections.clear()
     for arr in _no_unit_cases():
         arr.torsion_chains()
-        arr.order_basis_reports()
+        over_order(arr).reports()
     assert projections == []
 
 
@@ -451,7 +452,7 @@ def _widest_entry(arr: EllipticArrangement, fixed: int) -> int:
         widest[0] = max([widest[0]] + [abs(x).bit_length() for row in rows for x in row])
         return ellmat.arrangement._multiplicity(rows, det)
 
-    arr._walk(expand_lambda, fixed, spy)
+    arr._walk(fixed, spy)
     return widest[0]
 
 
@@ -467,7 +468,7 @@ def test_projection_bounds_the_big_entry_bases():
 
 
 # Upper bounds on the echelon insertions of each walk, in the order
-# reports(), order_basis_reports(), the stacked reports(T) and
+# reports(), the coker-xcheck walk of A over C/R, the stacked reports(T) and
 # torsion_chains(), keyed by the random_arrangement arguments at seed 1.
 WALK_INSERTIONS = {
     (10, 3, 3, -1, 2, 1, 3): (1198, 1198, 2032, 1198),
@@ -494,7 +495,7 @@ def test_walk_work_stays_within_its_bounds(monkeypatch):
         stacked, t_mask = dual_arrangement(arr)
         walks = (
             arr.reports,
-            arr.order_basis_reports,
+            over_order(arr).reports,
             lambda: stacked.reports(t_mask),
             arr.torsion_chains,
         )
@@ -534,7 +535,7 @@ def test_every_walk_is_capped():
         lambda: from_arrangement(arr),
         arr.reports,
         arr.torsion_chains,
-        arr.order_basis_reports,
+        lambda: over_order(arr).reports(),
         lambda: arr.reports(0),
         lambda: stacked.reports(t_mask),
     )
@@ -596,7 +597,7 @@ def test_walk_agrees_with_subset_report(case):
         for s in range(1 << len(free))
     ]
     assert arr.reports(fixed) == _slow_tables(arr, wide)
-    assert list(arr.order_basis_reports()[1]) == [
+    assert list(over_order(arr).reports()[1]) == [
         multiplicity_via_order_basis(arr, s) for s in range(1 << arr.k)
     ]
     # The stacked-dual identity: the walk of (I_k over A^H) over the supersets
@@ -623,8 +624,8 @@ def test_xgcd_matches_euclid(common, x, y):
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
-    # Over Z[i] (N = 1) the R-basis walk is the lattice walk again; over
-    # <1, 3*sqrt(-2)> (N = 9) it walks a different integer matrix.
+    # Over Z[i] (N = 1) C/R is the curve itself and coker-xcheck walks A
+    # again; over <1, 3*sqrt(-2)> (N = 9) it walks a different integer matrix.
     for m_param, c in ((1, 1), (2, 3)):
         arr = random_arrangement(k=4, n=2, m=m_param, a=0, b=1, c=c, bound=3, seed=5)
         assert arr.curve.N == c * c

@@ -229,15 +229,36 @@ def test_commands_expand_only_what_they_walk(sqrt3_file, tmp_path, capsys, monke
     monkeypatch.setattr(ellmat.arrangement, "expand_lambda", counted)
     random_args = ("--k", "3", "--n", "2", "--m", "1", "--tau", "0,1,1", "--bound", "3")
     # dual walks A only; the stacked arrangement is printed and saved.
-    # random writes a matrix it never walks; verify walks A and the stacked one.
+    # random writes a matrix it never walks; verify walks A, the stacked
+    # one and, for coker-xcheck, A over C/R.
     for args, expected in (
         (("dual", sqrt3_file, "--emit-arrangement", str(tmp_path / "stacked.json")), 1),
         (("random", *random_args, "--seed", "1", "--out", str(tmp_path / "random.json")), 0),
-        (("verify", sqrt3_file), 2),
+        (("verify", sqrt3_file), 3),
     ):
         calls[0] = 0
         assert run_cli(capsys, *args)[0] == 0
         assert calls[0] == expected, args
+
+
+def test_verify_builds_an_order_curve_beyond_the_input_limit(tmp_path, capsys):
+    # c_prime = c here, so C/R has a = c*a, about 2^126: coker-xcheck
+    # must build it without make_curve, which refuses inputs from 2^64 up.
+    doc = {
+        "field": {"m": 1},
+        "tau": {"a": 2**63, "b": 1, "c": 2**63 + 1},
+        "matrix": {
+            "rows": 3,
+            "cols": 2,
+            "entries": [[[1, 2], [3, -1]], [[2, 0], [1, 1]], [[0, 3], [-2, 1]]],
+        },
+    }
+    path = tmp_path / "large_tau.json"
+    path.write_text(json.dumps(doc))
+    for axioms in ((), ("--axioms", "coker-xcheck")):
+        code, out, err = run_cli(capsys, "verify", str(path), *axioms)
+        assert (code, err) == (0, "")
+        assert "coker-xcheck: ok" in out.splitlines()
 
 
 def test_order_info(capsys):

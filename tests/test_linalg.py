@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellmat import ParameterError, RingMatrix, expand_lambda, row_select, smith_form
-from ellmat.linalg import conj_transpose, expand_order
+from ellmat.linalg import conj_transpose
+from ellmat.quadratic_order import order_curve
 from support import (
     curve_half_i,
     curve_omega3,
     curve_sqrt3,
+    expand_order,
     matrix_corpus,
     minor_invariant_factors,
     minor_rank_and_torsion,
@@ -170,24 +172,31 @@ def test_expand_lambda_generator_over_half_i():
     # N*tau = 2i acting on <1, i/2>: 2i*1 = 4*(i/2), 2i*(i/2) = -1.
     mat = RingMatrix.from_pairs(curve_half_i(), [[(0, 1)]])
     assert expand_lambda(mat) == [[0, -1], [4, 0]]
-    assert expand_order(mat) == [[0, -4], [1, 0]]
+    # Over C/R the lattice is <1, 2i>: 2i*1 = 2i, 2i*2i = -4.
+    assert expand_lambda(_over_order(mat)) == [[0, -4], [1, 0]]
 
 
-def test_expansions_coincide_when_n_is_one():
+def _over_order(mat: RingMatrix) -> RingMatrix:
+    return mat._replace(curve=order_curve(mat.curve))
+
+
+def test_order_curve_expansion_is_the_r_basis_expansion():
     rng = random.Random(8)
     for _ in range(20):
         mat = random_ring_matrix(rng, curve_sqrt3(), rng.randint(1, 3), rng.randint(1, 3), 4)
-        assert expand_lambda(mat) == expand_order(mat)
+        assert expand_lambda(_over_order(mat)) == expand_lambda(mat) == expand_order(mat)
     # The two bases differ by the factor N on the coordinate of N*tau, so
     # the expansions are equal exactly when N = 1 or no entry has one.
     for mat in matrix_corpus(500):
+        over_order = expand_lambda(_over_order(mat))
+        assert over_order == expand_order(mat)
         integral = all(y == 0 for row in mat.entries for _, y in row)
-        assert (expand_lambda(mat) == expand_order(mat)) == (mat.curve.N == 1 or integral)
+        assert (expand_lambda(mat) == over_order) == (mat.curve.N == 1 or integral)
 
 
-def test_expand_order_scalar():
+def test_order_curve_expansion_of_a_scalar():
     mat = RingMatrix.from_pairs(curve_half_i(), [[(2, 0)]])
-    assert expand_order(mat) == [[2, 0], [0, 2]]
+    assert expand_lambda(_over_order(mat)) == [[2, 0], [0, 2]]
     assert expand_lambda(mat) == [[2, 0], [0, 2]]
 
 

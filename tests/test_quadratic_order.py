@@ -12,7 +12,7 @@ from ellmat import (
     min_poly,
 )
 from ellmat.linalg import conj_transpose
-from ellmat.quadratic_order import MinPoly
+from ellmat.quadratic_order import MinPoly, order_curve
 from support import (
     curve_half_i,
     curve_omega3,
@@ -20,6 +20,7 @@ from support import (
     curve_third_sqrt2,
     generator_index_oracle,
     is_square_free_by_trial,
+    matrix_corpus,
     ring_mul,
     ring_norm,
     square_free_sieve,
@@ -160,6 +161,26 @@ def test_derived_constants_invariants():
         curve = make_curve(field, a, b, c)
         assert gcd(gcd(curve.N, curve.gen_trace), curve.delta_prime) == 1
         assert curve.conductor >= 1
+
+
+def test_order_curve_is_the_curve_of_the_ring():
+    # C/R has tau = N*tau = c_prime*(a + b*omega) over c = 1: make_curve
+    # builds the same curve wherever its inputs stay below 2^64.
+    corpus = [mat.curve for mat in matrix_corpus(500)]
+    triples = [make_curve(*triple) for triple in _valid_triples()]
+    for curve in corpus + triples:
+        c_prime = curve.conductor // abs(curve.b)
+        over = order_curve(curve)
+        assert over == make_curve(curve.field, c_prime * curve.a, c_prime * curve.b, 1)
+        assert (over == curve) == (curve.N == 1)
+    assert len(corpus) == 500 and {c.N for c in corpus} == {1, 4, 9}
+    # Here c_prime = c, so c_prime*a is about 2^126.
+    big = make_curve(make_field(1), 2**63, 1, 2**63 + 1)
+    over = order_curve(big)
+    assert (over.a, over.b, over.c, over.N) == ((2**63 + 1) * 2**63, 2**63 + 1, 1, 1)
+    assert over.delta_prime == big.N * big.delta_prime
+    with pytest.raises(ParameterError, match="below 2\\^64"):
+        make_curve(big.field, over.a, over.b, 1)
 
 
 def test_min_poly_has_tau_as_root_exactly():
