@@ -55,17 +55,18 @@ every row moves by a vector of L(S), which every lattice of the subtree
 contains.  At full rank every column has a pivot, and each entry stays
 within its column's pivot, at most the index D.
 
-An arrangement holds only its matrix, and each walk expands the rows it
-walks when it is called: an arrangement caches no expansion and no table,
-and never changes.  Every walk fills two tables of the subsets it covers,
-the ranks and one measure of the torsion, both prefilled with the values
-of index 1 (rank n, no torsion).  At index 1 the quotient is trivial, so
-the walk stops at such a node without measuring it, and the node and its
-subtree keep the prefill.  `reports(fixed)` walks the subsets containing
-`fixed`, whose rows are inserted first as a shared prefix, measuring the
-multiplicity; `reports()` covers all 2^k subsets in ascending bitmask
-order, and its pair (rk, m) of int tuples is the shape `ArithmeticMatroid`
-takes.  The cokernel cross-check of `matroid` calls it on A over the
+An arrangement is a NamedTuple of its matrix alone: by its type it never
+changes, and equal matrices make equal, hashable arrangements.  Each walk
+expands the rows it walks when it is called: an arrangement caches no
+expansion and no table.  Every walk fills two tables of the subsets it
+covers, the ranks and one measure of the torsion, both prefilled with the
+values of index 1 (rank n, no torsion).  At index 1 the quotient is
+trivial, so the walk stops at such a node without measuring it, and the
+node and its subtree keep the prefill.  `reports(fixed)` walks the
+subsets containing `fixed`, whose rows are inserted first as a shared
+prefix, measuring the multiplicity; `reports()` covers all 2^k subsets in
+ascending bitmask order, and its pair (rk, m) of int tuples is the shape
+`ArithmeticMatroid` takes.  The cokernel cross-check of `matroid` calls it on A over the
 curve C/R of `quadratic_order.order_curve`, whose lattice is R itself.
 `torsion_chains()` is the walk of `reports()` measuring the invariant
 factors above 1 of every subset, m(S) being their product.
@@ -76,16 +77,9 @@ called, before its rows are expanded.
 from __future__ import annotations
 
 from math import prod
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .linalg import (
-    RingMatrix,
-    conj_transpose,
-    echelon_basis,
-    echelon_insert,
-    expand_lambda,
-    smith_form,
-)
+from .linalg import RingMatrix, echelon_basis, echelon_insert, expand_lambda, smith_form
 from .quadratic_order import CurveParams, ParameterError
 
 # The rank and the multiplicity tables of a run of subsets.
@@ -151,12 +145,11 @@ def _chain(rows: list, det: int) -> tuple[int, ...]:
     return tuple(d for d in smith_form(rows) if d > 1)
 
 
-class EllipticArrangement:
+class EllipticArrangement(NamedTuple):
     """k divisors in E^n, held as their matrix only; each walk expands the
     rows it walks and fills its tables afresh, index-1 subtrees prefilled."""
 
-    def __init__(self, matrix: RingMatrix):
-        self.matrix = matrix
+    matrix: RingMatrix
 
     @property
     def curve(self) -> CurveParams:
@@ -244,13 +237,16 @@ def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int
 
     Returns the arrangement of the (k+n) x k matrix (I_k over A^H), an
     arrangement of k+n divisors in E^k, together with the bitmask T of the
-    n rows coming from A^H (the set to contract).  Torsion counts of the
-    conjugate transpose match those of A, so the same curve parameters
-    serve for the dual side.  Contracting the rows e_i, i in S, deletes the
-    columns of divisor i, so S + T has the torsion order of the conjugate
-    transpose of the rows E - S of A: the dual check reads one walk of it.
+    n rows coming from A^H (the set to contract).  Row j of A^H is column
+    j of A conjugated: the conjugate of w = N*tau is s - w, s = gen_trace,
+    so x + y*w maps to (x + s*y) - y*w.  Torsion counts of the conjugate
+    transpose match those of A, so the same curve parameters serve for the
+    dual side.  Contracting the rows e_i, i in S, deletes the columns of
+    divisor i, so S + T has the torsion order of the conjugate transpose
+    of the rows E - S of A: the dual check reads one walk of it.
     """
-    rows = RingMatrix.identity(arr.curve, arr.k).entries + conj_transpose(arr.matrix).entries
-    stacked = RingMatrix(arr.curve, arr.k + arr.n, arr.k, rows)
-    t_mask = ((1 << arr.n) - 1) << arr.k
-    return EllipticArrangement(stacked), t_mask
+    k, n, s = arr.k, arr.n, arr.curve.gen_trace
+    units = tuple(tuple((1 if i == j else 0, 0) for j in range(k)) for i in range(k))
+    conj = [[(x + s * y, -y) for x, y in row] for row in arr.matrix.entries]
+    rows = units + tuple(tuple(row[j] for row in conj) for j in range(n))
+    return EllipticArrangement(RingMatrix(arr.curve, k + n, k, rows)), ((1 << n) - 1) << k

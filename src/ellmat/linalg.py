@@ -126,13 +126,6 @@ class RingMatrix(_Matrix):
         rows = tuple(tuple((int(x), int(y)) for x, y in row) for row in pairs)
         return cls(curve, len(rows), len(rows[0]) if rows else 0, rows)
 
-    @classmethod
-    def identity(cls, curve: CurveParams, k: int) -> "RingMatrix":
-        rows = tuple(
-            tuple((1 if i == j else 0, 0) for j in range(k)) for i in range(k)
-        )
-        return cls(curve, k, k, rows)
-
 
 def expand_lambda(a: RingMatrix) -> list[list[int]]:
     """The 2k integer rows [[X, -Y*d], [Y*N, X + Y*s]], of length 2n, of A
@@ -141,15 +134,6 @@ def expand_lambda(a: RingMatrix) -> list[list[int]]:
     top = [[x for x, _ in row] + [-d * y for _, y in row] for row in a.entries]
     bottom = [[N * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
     return top + bottom
-
-
-def conj_transpose(a: RingMatrix) -> RingMatrix:
-    """Entrywise conjugate of the transpose; involutive."""
-    s = a.curve.gen_trace
-    # The conjugate of w = N*tau is gen_trace - w, so x + y*w maps to (x + s*y) - y*w.
-    conj = [[(x + s * y, -y) for x, y in row] for row in a.entries]
-    rows = tuple(tuple(row[j] for row in conj) for j in range(a.n))
-    return RingMatrix(a.curve, a.n, a.k, rows)
 
 
 def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:

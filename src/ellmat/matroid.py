@@ -96,6 +96,8 @@ class ArithmeticMatroid(_Matroid):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, size: int, rk: tuple[int, ...], m: tuple[int, ...]) -> "ArithmeticMatroid":
+        if size < 0:
+            raise ParameterError("ground set size must be non-negative")
         expected = 1 << size
         if len(rk) != expected or len(m) != expected:
             raise ParameterError(f"tables must have {expected} entries")

@@ -23,7 +23,6 @@ from ellmat import (
     row_select,
     smith_form,
 )
-from ellmat.linalg import conj_transpose
 from ellmat.matroid import bit_indices, submasks
 from ellmat.quadratic_order import order_curve
 
@@ -248,6 +247,21 @@ def expand_order(a: RingMatrix) -> list[list[int]]:
     top = [[x for x, _ in row] + [-dn * y for _, y in row] for row in a.entries]
     bottom = [[y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
     return top + bottom
+
+
+def conj_transpose(a: RingMatrix) -> RingMatrix:
+    """The entrywise conjugate of the transpose of A, an n x k matrix.
+
+    The formula the A^H rows of `dual_arrangement` must equal: the
+    conjugate of w = N*tau is gen_trace - w, so x + y*w maps to
+    (x + gen_trace*y) - y*w.
+    """
+    s = a.curve.gen_trace
+    rows = tuple(
+        tuple((x + s * y, -y) for x, y in (a.entries[i][j] for i in range(a.k)))
+        for j in range(a.n)
+    )
+    return RingMatrix(a.curve, a.n, a.k, rows)
 
 
 def over_order(arr: EllipticArrangement) -> EllipticArrangement:

@@ -20,12 +20,12 @@ from ellmat import (
     smith_form,
     tutte,
 )
-from ellmat.linalg import conj_transpose
 from ellmat.matroid import AXIOM_NAMES
 from support import (
     FIXTURE_OMEGA_DOC,
     FIXTURE_SQRT3_DOC,
     arrangement_corpus,
+    conj_transpose,
     curve_half_i,
     curve_sqrt3,
     expand_order,

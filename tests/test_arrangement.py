@@ -28,11 +28,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
     arrangement_corpus,
+    conj_transpose,
     curve_gauss,
     curve_omega3,
     curve_sqrt3,
     curve_third_sqrt2,
     expand_order,
+    matrix_corpus,
     minor_rank_and_torsion,
     multiplicity_via_conj_transpose,
     multiplicity_via_order_basis,
@@ -40,6 +42,7 @@ from support import (
     new_realization_sqrt3,
     over_order,
     points_corpus,
+    ring_mul,
     subset_report,
     xgcd_by_euclid,
 )
@@ -137,7 +140,32 @@ def test_dual_arrangement_of_empty_columns():
     arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 2, 0, ((), ())))
     stacked, t_mask = dual_arrangement(arr)
     assert t_mask == 0
-    assert stacked.matrix == RingMatrix.identity(curve_sqrt3(), 2)
+    assert stacked.matrix == RingMatrix(curve_sqrt3(), 2, 2, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
+
+
+def test_stacked_rows_are_units_over_the_conjugate_transpose():
+    gauss = curve_gauss()
+    shapes = (RingMatrix(gauss, 0, 2, ()), RingMatrix(gauss, 3, 0, ((), (), ())))
+    for matrix in matrix_corpus(500) + shapes:
+        k, n = matrix.k, matrix.n
+        stacked, t_mask = dual_arrangement(EllipticArrangement(matrix))
+        units = tuple(tuple((1, 0) if j == i else (0, 0) for j in range(k)) for i in range(k))
+        assert stacked.matrix == RingMatrix(
+            matrix.curve, k + n, k, units + conj_transpose(matrix).entries
+        )
+        assert t_mask == sum(1 << k + j for j in range(n))
+
+
+def test_arrangement_is_an_immutable_record():
+    arr = new_realization_sqrt3()
+    with pytest.raises(AttributeError):
+        arr.matrix = RingMatrix(curve_sqrt3(), 0, 1, ())
+    with pytest.raises(AttributeError):
+        arr.tables = ()
+    twin = new_realization_sqrt3()
+    assert twin is not arr and twin == arr and hash(twin) == hash(arr)
+    assert twin != new_realization_omega()
+    assert EllipticArrangement._fields == ("matrix",)
 
 
 def test_multiplicity_divisibility_chains():
@@ -568,6 +596,69 @@ def test_walk_raises_on_odd_rank(monkeypatch):
     monkeypatch.setattr(ellmat.arrangement, "expand_lambda", odd)
     with pytest.raises(AssertionError, match="even rank"):
         arr.reports()
+
+
+# The five input kinds of perfbench/run.py, as random_arrangement arguments.
+WORKLOAD_SHAPES = (
+    (13, 5, 3, -1, 2, 1, 3),
+    (11, 4, 2, 0, 1, 3, 10**6),
+    (10, 3, 3, -1, 2, 1, 3),
+    (9, 4, 1, 0, 1, 1, 3),
+    (9, 4, 2, 0, 1, 3, 3),
+)
+
+
+def _column_operated(arr: EllipticArrangement, rng: random.Random):
+    """A*U with rows permuted, and the permutation: row i of the result is
+    row perm[i] of A*U.  U in GL_n(R) is 3n column operations
+    col_j += lam*col_i, both coordinates of lam in [-2, 2]."""
+    rows = [list(row) for row in arr.matrix.entries]
+    for _ in range(3 * arr.n):
+        i, j = rng.sample(range(arr.n), 2)
+        lam = (rng.randint(-2, 2), rng.randint(-2, 2))
+        for row in rows:
+            x, y = ring_mul(arr.curve, lam, row[i])
+            row[j] = (row[j][0] + x, row[j][1] + y)
+    perm = rng.sample(range(arr.k), arr.k)
+    moved = RingMatrix(arr.curve, arr.k, arr.n, tuple(tuple(rows[p]) for p in perm))
+    return EllipticArrangement(moved), perm
+
+
+def _stacked_reports(arr: EllipticArrangement) -> tuple:
+    stacked, t_mask = dual_arrangement(arr)
+    return stacked.reports(t_mask)
+
+
+def _chain_tables(arr: EllipticArrangement) -> tuple:
+    (rk, m), chains = arr.torsion_chains()
+    return rk, m, chains
+
+
+def test_walks_are_invariant_under_column_operations_and_row_permutations():
+    """Every walk gives the same tables on A and on A*U, U in GL_n(R), up to
+    the row permutation.
+
+    The expansion of A*U is that of A times that of U, in GL_2n(Z), so every
+    row lattice moves by a unimodular map.  The stacked arrangement of A*U
+    has at S + T the lattice of A's at image[S] + T with its columns
+    permuted, which is unimodular too.  reports() runs on the seed-1 and seed-9 files of
+    the five workload kinds; the other walks on the k <= 10 ones, the
+    inputs of the verify workload.
+    """
+    for args in WORKLOAD_SHAPES:
+        for seed in (1, 9):
+            arr = random_arrangement(*args, seed=seed)
+            moved, perm = _column_operated(arr, random.Random(f"{args}:{seed}"))
+            # image[S] is the subset of A that subset S of `moved` stands for.
+            image = [0]
+            for p in perm:
+                image += [s | 1 << p for s in image]
+            walks = [EllipticArrangement.reports]
+            if arr.k <= 10:
+                walks += [lambda a: over_order(a).reports(), _chain_tables, _stacked_reports]
+            for walk in walks:
+                pulled = tuple(tuple(table[s] for s in image) for table in walk(arr))
+                assert walk(moved) == pulled, (args, seed, walk)
 
 
 _CURVES = (curve_gauss(), curve_omega3(), make_curve(make_field(2), 0, 1, 1), curve_third_sqrt2())

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -207,6 +208,22 @@ def test_dual_command(sqrt3_file, tmp_path, capsys):
     dual = from_arrangement(fileio.load_arrangement(sqrt3_file)).dual()
     assert from_arrangement(stacked).contraction(0b100) == dual
     assert run_cli(capsys, "verify", str(out_path))[0] == 0
+
+
+def test_dual_emits_the_pinned_stacked_file(tmp_path, capsys):
+    # An m = 7 curve has gen_trace 1, so every conjugated entry x + y*w of
+    # A^H reads (x + y) - y*w and the s*y term shows in the bytes.
+    source, stacked = tmp_path / "m7.json", tmp_path / "stacked.json"
+    shape = ("--k", "3", "--n", "2", "--m", "7", "--tau", "0,1,1", "--bound", "3")
+    assert run_cli(capsys, "random", *shape, "--seed", "1", "--out", str(source))[0] == 0
+    assert fileio.load_arrangement(str(source)).curve.gen_trace == 1
+    assert hashlib.sha256(source.read_bytes()).hexdigest() == (
+        "4bdf18bb9f00eecf0d467a62c61738c591805527a18a07dd66f3ca7d5971306a"
+    )
+    assert run_cli(capsys, "dual", str(source), "--emit-arrangement", str(stacked))[0] == 0
+    assert hashlib.sha256(stacked.read_bytes()).hexdigest() == (
+        "7a560a5c6ad07674dda1cceaaf9a9c6e5975d7137dfb7b829e8f34a22e8e886a"
+    )
 
 
 def test_dual_refused_write_prints_nothing(sqrt3_file, tmp_path, capsys):

@@ -79,6 +79,10 @@ def test_from_arrangement_cap():
 
 
 def test_table_shape_validation():
+    with pytest.raises(ParameterError, match="ground set size must be non-negative"):
+        ArithmeticMatroid(-1, (), ())
+    with pytest.raises(ParameterError, match="ground set size must be non-negative"):
+        ArithmeticMatroid(0, (0,), (1,))._replace(size=-1)
     with pytest.raises(ParameterError, match="tables must have 4 entries"):
         ArithmeticMatroid(2, (0, 1, 1), (1, 1, 1, 1))
     with pytest.raises(ParameterError, match="tables must have 4 entries"):

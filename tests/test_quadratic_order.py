@@ -4,14 +4,15 @@ from math import gcd, isqrt
 import pytest
 
 from ellmat import (
+    EllipticArrangement,
     ParameterError,
     RingMatrix,
+    dual_arrangement,
     is_square_free,
     make_curve,
     make_field,
     min_poly,
 )
-from ellmat.linalg import conj_transpose
 from ellmat.quadratic_order import MinPoly, order_curve
 from support import (
     curve_half_i,
@@ -206,8 +207,10 @@ def test_min_poly_has_tau_as_root_exactly():
 
 
 def _conj(curve, u: tuple[int, int]) -> tuple[int, int]:
-    """Conjugation as the library computes it: conj_transpose of a 1 x 1 matrix."""
-    return conj_transpose(RingMatrix.from_pairs(curve, [[u]])).entries[0][0]
+    """Conjugation as the library computes it: the A^H row of the stacked
+    arrangement of a 1 x 1 arrangement."""
+    single = EllipticArrangement(RingMatrix.from_pairs(curve, [[u]]))
+    return dual_arrangement(single)[0].matrix.entries[1][0]
 
 
 def _add(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
