@@ -246,7 +246,8 @@ def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int
     of the rows E - S of A: the dual check reads one walk of it.
     """
     k, n, s = arr.k, arr.n, arr.curve.gen_trace
-    units = tuple(tuple((1 if i == j else 0, 0) for j in range(k)) for i in range(k))
+    units = [[(1 if i == j else 0, 0) for j in range(k)] for i in range(k)]
     conj = [[(x + s * y, -y) for x, y in row] for row in arr.matrix.entries]
-    rows = units + tuple(tuple(row[j] for row in conj) for j in range(n))
-    return EllipticArrangement(RingMatrix(arr.curve, k + n, k, rows)), ((1 << n) - 1) << k
+    # The rows of A^H are the columns of conj; with k = 0 there is nothing to zip.
+    rows = units + (list(zip(*conj)) or [()] * n)
+    return EllipticArrangement(RingMatrix(arr.curve, k, rows)), ((1 << n) - 1) << k

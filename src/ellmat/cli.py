@@ -106,7 +106,7 @@ def _print_rows(rows: list[tuple[str, ...]]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     arr = load_arrangement(args.file)
     tables, chains = arr.torsion_chains()
-    matroid = ArithmeticMatroid(arr.k, *tables)
+    matroid = ArithmeticMatroid(*tables)
     essential = matroid.full_rank == arr.n
     t_poly = tutte(matroid)
     chi = char_poly(matroid)

@@ -29,14 +29,7 @@ from typing import Any
 
 from .arrangement import EllipticArrangement
 from .linalg import RingMatrix
-from .quadratic_order import (
-    COORD_LIMIT,
-    ENTRY_LIMIT,
-    CurveParams,
-    ParameterError,
-    make_curve,
-    make_field,
-)
+from .quadratic_order import COORD_LIMIT, ENTRY_LIMIT, ParameterError, make_curve, make_field
 
 
 # The longest canonical document of a legal arrangement: ENTRY_LIMIT rows of
@@ -98,11 +91,9 @@ def parse_document(doc: Any) -> EllipticArrangement:
             f"matrix.entries: expected {rows} rows, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    pairs: list[tuple[tuple[int, int], ...]] = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise ParameterError(f"matrix.entries[{i}]: expected {cols} entries")
-        out_row: list[tuple[int, int]] = []
         for j, pair in enumerate(row):
             where = f"matrix.entries[{i}][{j}]"
             if not isinstance(pair, list) or len(pair) != 2:
@@ -110,9 +101,7 @@ def parse_document(doc: Any) -> EllipticArrangement:
             x, y = _as_int(pair[0], where), _as_int(pair[1], where)
             if max(abs(x), abs(y)) >= COORD_LIMIT:
                 raise ParameterError(f"{where}: |x| and |y| must be below 2^64")
-            out_row.append((x, y))
-        pairs.append(tuple(out_row))
-    return EllipticArrangement(RingMatrix(curve, rows, cols, tuple(pairs)))
+    return EllipticArrangement(RingMatrix(curve, cols, entries))
 
 
 def parse_text(text: str) -> EllipticArrangement:
@@ -143,8 +132,10 @@ def load_arrangement(path: str) -> EllipticArrangement:
     return parse_text(text)
 
 
-def _document_of(curve: CurveParams, matrix: RingMatrix) -> dict:
-    return {
+def serialize_arrangement(arr: EllipticArrangement) -> str:
+    """Canonical text form; stable byte-for-byte across runs."""
+    curve, matrix = arr.curve, arr.matrix
+    doc = {
         "field": {"m": curve.field.m},
         "tau": {"a": curve.a, "b": curve.b, "c": curve.c},
         "matrix": {
@@ -153,11 +144,7 @@ def _document_of(curve: CurveParams, matrix: RingMatrix) -> dict:
             "entries": [[[x, y] for x, y in row] for row in matrix.entries],
         },
     }
-
-
-def serialize_arrangement(arr: EllipticArrangement) -> str:
-    """Canonical text form; stable byte-for-byte across runs."""
-    return json.dumps(_document_of(arr.curve, arr.matrix), indent=2) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def save_arrangement(arr: EllipticArrangement, path: str) -> None:
@@ -183,8 +170,8 @@ def random_arrangement(
         raise ParameterError("bound must be below 2^64")
     curve = make_curve(make_field(m), a, b, c)
     rng = random.Random(seed)
-    pairs = tuple(
-        tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n))
+    rows = [
+        [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
         for _ in range(k)
-    )
-    return EllipticArrangement(RingMatrix(curve, k, n, pairs))
+    ]
+    return EllipticArrangement(RingMatrix(curve, n, rows))

@@ -99,32 +99,30 @@ def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
 
 class _Matrix(NamedTuple):
     curve: CurveParams
-    k: int
     n: int
     entries: tuple[tuple[tuple[int, int], ...], ...]
 
 
 # A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
 class RingMatrix(_Matrix):
-    """k x n matrix over the order R of `curve`; entry (x, y) is x + y*N*tau."""
+    """Matrix of n columns over the order R of `curve`, its rows `entries`;
+    entry (x, y) is x + y*N*tau.  Rows and entries of any sequence type are
+    stored as tuples, and the row count k is the number of rows."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(cls, curve: CurveParams, k: int, n: int, entries: tuple) -> "RingMatrix":
-        if len(entries) != k:
-            raise ParameterError("row count mismatch")
-        if any(len(row) != n for row in entries):
+    def __new__(cls, curve: CurveParams, n: int, entries: Iterable) -> "RingMatrix":
+        if n < 0:
+            raise ParameterError("column count must be non-negative")
+        rows = tuple([tuple(map(tuple, row)) for row in entries])
+        if any(len(row) != n for row in rows):
             raise ParameterError("column count mismatch")
-        return super().__new__(cls, curve, k, n, entries)
+        return super().__new__(cls, curve, n, rows)
 
-    @classmethod
-    def from_pairs(
-        cls, curve: CurveParams, pairs: Iterable[Iterable[tuple[int, int]]]
-    ) -> "RingMatrix":
-        """Build from rows of (x, y) coordinate pairs over the basis {1, N*tau}."""
-        rows = tuple(tuple((int(x), int(y)) for x, y in row) for row in pairs)
-        return cls(curve, len(rows), len(rows[0]) if rows else 0, rows)
+    @property
+    def k(self) -> int:
+        return len(self.entries)
 
 
 def expand_lambda(a: RingMatrix) -> list[list[int]]:
@@ -142,5 +140,4 @@ def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:
     for i in picked:
         if not 0 <= i < a.k:
             raise ParameterError(f"row index {i} out of range for {a.k} rows")
-    rows = tuple(a.entries[i] for i in picked)
-    return RingMatrix(a.curve, len(picked), a.n, rows)
+    return RingMatrix(a.curve, a.n, [a.entries[i] for i in picked])

@@ -79,14 +79,15 @@ def format_subset(mask: int) -> str:
 
 
 class _Matroid(NamedTuple):
-    size: int
     rk: tuple[int, ...]
     m: tuple[int, ...]
 
 
 # A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
 class ArithmeticMatroid(_Matroid):
-    """Dense tables rk, m over all subsets of a ground set of `size` elements.
+    """Dense tables rk, m over all subsets of a ground set, indexed by
+    bitmask, so their length 2^size gives the size of the ground set.
+    Tables of any sequence type are stored as tuples.
 
     Construction validates only shapes and positivity of m; the axioms are
     the verifiers' business, so deliberately broken tables are expressible.
@@ -95,19 +96,21 @@ class ArithmeticMatroid(_Matroid):
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
-    def __new__(cls, size: int, rk: tuple[int, ...], m: tuple[int, ...]) -> "ArithmeticMatroid":
-        if size < 0:
-            raise ParameterError("ground set size must be non-negative")
-        expected = 1 << size
-        if len(rk) != expected or len(m) != expected:
-            raise ParameterError(f"tables must have {expected} entries")
+    def __new__(cls, rk: Iterable[int], m: Iterable[int]) -> "ArithmeticMatroid":
+        rk, m = tuple(rk), tuple(m)
+        if len(rk) != len(m) or not rk or len(rk) & (len(rk) - 1):
+            raise ParameterError("tables must have equal lengths, a power of 2")
         if any(v < 1 for v in m):
             raise ParameterError("multiplicities must be positive")
-        return super().__new__(cls, size, rk, m)
+        return super().__new__(cls, rk, m)
+
+    @property
+    def size(self) -> int:
+        return len(self.rk).bit_length() - 1
 
     @property
     def ground_mask(self) -> int:
-        return (1 << self.size) - 1
+        return len(self.rk) - 1
 
     @property
     def full_rank(self) -> int:
@@ -118,7 +121,7 @@ class ArithmeticMatroid(_Matroid):
         r = self.full_rank
         # Entry E - S of a table is entry S of its reverse.
         rk = tuple(s.bit_count() - r + rank for s, rank in enumerate(reversed(self.rk)))
-        return ArithmeticMatroid(self.size, rk, self.m[::-1])
+        return ArithmeticMatroid(rk, self.m[::-1])
 
     def _kept_masks(self, t_mask: int) -> list[int]:
         """Every subset of the elements outside t_mask, at the index of its
@@ -134,19 +137,17 @@ class ArithmeticMatroid(_Matroid):
         """Contract the elements of t_mask: rk(A) -> rk(A|T) - rk(T), m(A) -> m(A|T)."""
         wide = [w | t_mask for w in self._kept_masks(t_mask)]
         base = self.rk[t_mask]
-        rk, m = tuple(self.rk[w] - base for w in wide), tuple(self.m[w] for w in wide)
-        return ArithmeticMatroid(self.size - t_mask.bit_count(), rk, m)
+        return ArithmeticMatroid([self.rk[w] - base for w in wide], [self.m[w] for w in wide])
 
     def deletion(self, t_mask: int) -> "ArithmeticMatroid":
         """Delete the elements of t_mask, restricting both tables."""
         wide = self._kept_masks(t_mask)
-        rk, m = tuple(self.rk[w] for w in wide), tuple(self.m[w] for w in wide)
-        return ArithmeticMatroid(self.size - t_mask.bit_count(), rk, m)
+        return ArithmeticMatroid([self.rk[w] for w in wide], [self.m[w] for w in wide])
 
 
 def from_arrangement(arr: EllipticArrangement) -> ArithmeticMatroid:
     """The arrangement's rank and multiplicity tables, from one walk."""
-    return ArithmeticMatroid(arr.k, *arr.reports())
+    return ArithmeticMatroid(*arr.reports())
 
 
 class Violation(NamedTuple):
@@ -175,14 +176,14 @@ def _local_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...]]:
     (Oxley, Matroid Theory, ch. 1) and costs O(2^k k^2) instead of 4^k.  A
     violation names the local pair (S+i, S+j).
     """
-    rk, m = matroid.rk, matroid.m
+    rk, m, size = matroid.rk, matroid.m, matroid.size
     r1 = [Violation("r1", (0,), f"rk({format_subset(0)}) = {rk[0]} != 0")] if rk[0] else []
     r2: list[Violation] = []
     r3: list[Violation] = []
     a1: list[Violation] = []
-    for s in range(1 << matroid.size):
+    for s in range(1 << size):
         base = rk[s]
-        outside = [1 << i for i in range(matroid.size) if not s >> i & 1]
+        outside = [1 << i for i in range(size) if not s >> i & 1]
         for pos, bit in enumerate(outside):
             si = s | bit
             step = rk[si]
@@ -244,13 +245,13 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
     Violations are reported by Y ascending, then X descending, [X, Y] being
     the interval each names: for (P2), the interval [E - Y, E - X] of the dual.
     """
-    rk, m = matroid.rk, matroid.m
+    rk, m, size = matroid.rk, matroid.m, matroid.size
     e = matroid.ground_mask
     raising = [
-        sum(1 << i for i in range(matroid.size) if not x >> i & 1 and rk[x | 1 << i] > rk[x])
+        sum(1 << i for i in range(size) if not x >> i & 1 and rk[x | 1 << i] > rk[x])
         for x in range(e + 1)
     ]
-    leaf = min(matroid.size, _LEAF)
+    leaf = min(size, _LEAF)
     # low_x[t], low_y[t]: the pair of the leaf positions that entry t of an
     # expanded leaf table stands for, position i being digit i of t in base 3.
     low_x, low_y = [0], [0]
@@ -300,7 +301,7 @@ def _interval_pass(matroid: ArithmeticMatroid) -> dict[str, tuple[Violation, ...
                 detail = f"rho = {value} < 0 on rank-constant {_span(e ^ y, e ^ x)} (dual)"
                 p2.append(Violation("p2", (e ^ y, e ^ x), detail))
 
-    expand(list(m), matroid.size, 0, 0)
+    expand(list(m), size, 0, 0)
     for found in (a2, p, p1, p2):
         found.sort(key=lambda v: (v.subsets[1], -v.subsets[0]))
     differs = (not p) != (not (a2 or p1 or p2))
@@ -320,7 +321,7 @@ def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[V
     order, so its first entry is T itself."""
     stacked, t_mask = dual_arrangement(arr)
     rk, m = stacked.reports(t_mask)
-    contraction = ArithmeticMatroid(matroid.size, tuple(r - rk[0] for r in rk), m)
+    contraction = ArithmeticMatroid((r - rk[0] for r in rk), m)
     if contraction == matroid.dual():
         return ()
     detail = "contraction of the stacked arrangement by T does not match the dual tables"

@@ -54,12 +54,12 @@ def curve_gauss():
 
 def new_realization_sqrt3() -> EllipticArrangement:
     """Column (2; 1 + sqrt(-3)) over Z[sqrt(-3)]: multiplicities 1, 4, 4, 2."""
-    return EllipticArrangement(RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0)], [(1, 1)]]))
+    return EllipticArrangement(RingMatrix(curve_sqrt3(), 1, [[(2, 0)], [(1, 1)]]))
 
 
 def new_realization_omega() -> EllipticArrangement:
     """Same column over Z[omega] (1 + sqrt(-3) = 2*omega): multiplicities 1, 4, 4, 4."""
-    return EllipticArrangement(RingMatrix.from_pairs(curve_omega3(), [[(2, 0)], [(0, 2)]]))
+    return EllipticArrangement(RingMatrix(curve_omega3(), 1, [[(2, 0)], [(0, 2)]]))
 
 
 FIXTURE_SQRT3_DOC = {
@@ -76,11 +76,11 @@ FIXTURE_OMEGA_DOC = {
 
 
 def random_ring_matrix(rng: random.Random, curve, k: int, n: int, bound: int) -> RingMatrix:
-    pairs = tuple(
-        tuple((rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n))
+    pairs = [
+        [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
         for _ in range(k)
-    )
-    return RingMatrix(curve, k, n, pairs)
+    ]
+    return RingMatrix(curve, n, pairs)
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +130,7 @@ def points_corpus(count: int = 50, seed: int = 73) -> tuple[EllipticArrangement,
             while x == 0 and y == 0:
                 x, y = rng.randint(-3, 3), rng.randint(-3, 3)
             pairs.append([(x, y)])
-        out.append(EllipticArrangement(RingMatrix.from_pairs(curve, pairs)))
+        out.append(EllipticArrangement(RingMatrix(curve, 1, pairs)))
     return tuple(out)
 
 
@@ -257,11 +257,8 @@ def conj_transpose(a: RingMatrix) -> RingMatrix:
     (x + gen_trace*y) - y*w.
     """
     s = a.curve.gen_trace
-    rows = tuple(
-        tuple((x + s * y, -y) for x, y in (a.entries[i][j] for i in range(a.k)))
-        for j in range(a.n)
-    )
-    return RingMatrix(a.curve, a.n, a.k, rows)
+    rows = [[(x + s * y, -y) for x, y in (row[j] for row in a.entries)] for j in range(a.n)]
+    return RingMatrix(a.curve, a.k, rows)
 
 
 def over_order(arr: EllipticArrangement) -> EllipticArrangement:

@@ -89,7 +89,7 @@ def test_criterion_01_worked_example_reproduction(tmp_path, capsys):
 def test_criterion_02_integer_expansion_of_flat_map(capsys):
     from ellmat import RingMatrix
 
-    mat = RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0), (1, 1)]])
+    mat = RingMatrix(curve_sqrt3(), 2, [[(2, 0), (1, 1)]])
     expansion = expand_lambda(mat)
     interleaved = [[row[j] for j in (0, 2, 1, 3)] for row in expansion]
     factors = smith_form(expansion)

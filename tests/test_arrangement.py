@@ -87,7 +87,7 @@ def test_report_consistency():
 def test_zero_rows_behave_as_loops():
     curve = curve_sqrt3()
     arr = EllipticArrangement(
-        RingMatrix.from_pairs(curve, [[(0, 0), (0, 0)], [(1, 0), (2, 1)]])
+        RingMatrix(curve, 2, [[(0, 0), (0, 0)], [(1, 0), (2, 1)]])
     )
     rank, multiplicity = subset_report(arr, 0b01)
     assert rank == 0
@@ -109,20 +109,14 @@ def _is_essential(arr: EllipticArrangement) -> bool:
 
 def test_is_essential():
     assert _is_essential(new_realization_sqrt3())
-    empty_in_plane = EllipticArrangement(
-        RingMatrix(curve_sqrt3(), 0, 2, ())
-    )
+    empty_in_plane = EllipticArrangement(RingMatrix(curve_sqrt3(), 2, ()))
     assert not _is_essential(empty_in_plane)
-    single_in_plane = EllipticArrangement(
-        RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (1, 1)]])
-    )
+    single_in_plane = EllipticArrangement(RingMatrix(curve_sqrt3(), 2, [[(1, 0), (1, 1)]]))
     assert not _is_essential(single_in_plane)
 
 
 def test_layer_dimension_single_row_in_e3():
-    arr = EllipticArrangement(
-        RingMatrix.from_pairs(curve_sqrt3(), [[(1, 0), (0, 0), (0, 1)]])
-    )
+    arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 3, [[(1, 0), (0, 0), (0, 1)]]))
     assert arr.n - subset_report(arr, 0b1)[0] == 2
 
 
@@ -137,29 +131,27 @@ def test_dual_arrangement_structure():
 
 
 def test_dual_arrangement_of_empty_columns():
-    arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 2, 0, ((), ())))
+    arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 0, ((), ())))
     stacked, t_mask = dual_arrangement(arr)
     assert t_mask == 0
-    assert stacked.matrix == RingMatrix(curve_sqrt3(), 2, 2, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
+    assert stacked.matrix == RingMatrix(curve_sqrt3(), 2, (((1, 0), (0, 0)), ((0, 0), (1, 0))))
 
 
 def test_stacked_rows_are_units_over_the_conjugate_transpose():
     gauss = curve_gauss()
-    shapes = (RingMatrix(gauss, 0, 2, ()), RingMatrix(gauss, 3, 0, ((), (), ())))
+    shapes = (RingMatrix(gauss, 2, ()), RingMatrix(gauss, 0, ((), (), ())))
     for matrix in matrix_corpus(500) + shapes:
         k, n = matrix.k, matrix.n
         stacked, t_mask = dual_arrangement(EllipticArrangement(matrix))
         units = tuple(tuple((1, 0) if j == i else (0, 0) for j in range(k)) for i in range(k))
-        assert stacked.matrix == RingMatrix(
-            matrix.curve, k + n, k, units + conj_transpose(matrix).entries
-        )
+        assert stacked.matrix == RingMatrix(matrix.curve, k, units + conj_transpose(matrix).entries)
         assert t_mask == sum(1 << k + j for j in range(n))
 
 
 def test_arrangement_is_an_immutable_record():
     arr = new_realization_sqrt3()
     with pytest.raises(AttributeError):
-        arr.matrix = RingMatrix(curve_sqrt3(), 0, 1, ())
+        arr.matrix = RingMatrix(curve_sqrt3(), 1, ())
     with pytest.raises(AttributeError):
         arr.tables = ()
     twin = new_realization_sqrt3()
@@ -289,7 +281,7 @@ def _no_unit_cases() -> list[EllipticArrangement]:
     for n, curve in ((1, (1, 0, 1, 1)), (2, (2, 0, 1, 3))):
         odd = random_arrangement(8, n, *curve, bound=2**61, seed=5)
         even = [[(2 * x, 2 * y) for x, y in row] for row in odd.matrix.entries]
-        cases.append(EllipticArrangement(RingMatrix.from_pairs(odd.curve, even)))
+        cases.append(EllipticArrangement(RingMatrix(odd.curve, n, even)))
     return cases
 
 
@@ -304,22 +296,23 @@ def _walk_cases() -> list[EllipticArrangement]:
     ]
     cases += _no_unit_cases()
     cases += [
-        EllipticArrangement(RingMatrix(gauss, 0, 2, ())),
-        EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ()))),
+        EllipticArrangement(RingMatrix(gauss, 2, ())),
+        EllipticArrangement(RingMatrix(gauss, 0, ((), (), ()))),
         EllipticArrangement(
-            RingMatrix.from_pairs(
-                gauss, [[(0, 0), (0, 0)], [(1, 2), (3, -1)], [(0, 0), (0, 0)], [(2, 0), (0, 5)]]
+            RingMatrix(
+                gauss, 2, [[(0, 0), (0, 0)], [(1, 2), (3, -1)], [(0, 0), (0, 0)], [(2, 0), (0, 5)]]
             )
         ),
         EllipticArrangement(
-            RingMatrix.from_pairs(
-                gauss, [[(1, 2), (3, -1)], [(1, 2), (3, -1)], [(2, 1), (0, 3)], [(2, 1), (0, 3)]]
+            RingMatrix(
+                gauss, 2, [[(1, 2), (3, -1)], [(1, 2), (3, -1)], [(2, 1), (0, 3)], [(2, 1), (0, 3)]]
             )
         ),
         # Every row vanishes on the third coordinate, so the full set has rank 2 of 3.
         EllipticArrangement(
-            RingMatrix.from_pairs(
+            RingMatrix(
                 gauss,
+                3,
                 [
                     [(2, 0), (0, 2), (0, 0)],
                     [(1, 1), (3, 0), (0, 0)],
@@ -539,17 +532,17 @@ def test_walk_edge_cases_of_the_quotient():
     gauss = curve_gauss()
     # n = 0: the root's empty basis has full rank and index 1, so the walk
     # measures nothing and every subset keeps the prefill.
-    no_columns = EllipticArrangement(RingMatrix(gauss, 3, 0, ((), (), ())))
+    no_columns = EllipticArrangement(RingMatrix(gauss, 0, ((), (), ())))
     assert _visits(no_columns) == ([], ((0,) * 8, (1,) * 8))
     assert no_columns.reports() == ((0,) * 8, (1,) * 8)
-    nothing = EllipticArrangement(RingMatrix(gauss, 0, 0, ()))
+    nothing = EllipticArrangement(RingMatrix(gauss, 0, ()))
     assert _visits(nothing) == ([], ((0,), (1,)))
     # k = 0 in the plane: the root is rank-deficient and has no children.
-    no_rows = EllipticArrangement(RingMatrix(gauss, 0, 2, ()))
+    no_rows = EllipticArrangement(RingMatrix(gauss, 2, ()))
     assert _visits(no_rows) == ([([], 0)], ((0,), (1,)))
     assert no_rows.torsion_chains() == (((0,), (1,)), ((),))
     # A unit divisor makes L = Z^2 at once; it and {1,2} keep the prefill.
-    unit = EllipticArrangement(RingMatrix.from_pairs(gauss, [[(1, 0)], [(3, 1)]]))
+    unit = EllipticArrangement(RingMatrix(gauss, 1, [[(1, 0)], [(3, 1)]]))
     assert _visits(unit) == ([([], 0), ([[1, 3], [0, 10]], 10)], ((0, 1, 1, 1), (1, 1, 10, 1)))
     # Only the prefill's own call sees index 1.
     assert all(det != 1 for arr in _walk_cases() for _, det in _visits(arr)[0])
@@ -579,7 +572,7 @@ def test_superset_walk_is_linear_in_the_fixed_width():
     # A shift of the fixed mask per divisor made this walk quadratic in k:
     # about 9 s at this width on a 2-core host, against 0.5 s now.
     k = 400_000
-    arr = EllipticArrangement(RingMatrix(curve_gauss(), k, 0, ((),) * k))
+    arr = EllipticArrangement(RingMatrix(curve_gauss(), 0, ((),) * k))
     start = time.monotonic()
     assert arr.reports((1 << k) - 1) == ((0,), (1,))
     assert time.monotonic() - start < 2.0
@@ -620,7 +613,7 @@ def _column_operated(arr: EllipticArrangement, rng: random.Random):
             x, y = ring_mul(arr.curve, lam, row[i])
             row[j] = (row[j][0] + x, row[j][1] + y)
     perm = rng.sample(range(arr.k), arr.k)
-    moved = RingMatrix(arr.curve, arr.k, arr.n, tuple(tuple(rows[p]) for p in perm))
+    moved = RingMatrix(arr.curve, arr.n, [rows[p] for p in perm])
     return EllipticArrangement(moved), perm
 
 
@@ -673,7 +666,7 @@ def _arrangement_and_mask(draw) -> tuple[EllipticArrangement, int]:
         st.just([(0, 0)] * n), st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)
     )
     pairs = draw(st.lists(row, min_size=k, max_size=k))
-    arr = EllipticArrangement(RingMatrix(curve, k, n, tuple(map(tuple, pairs))))
+    arr = EllipticArrangement(RingMatrix(curve, n, pairs))
     return arr, draw(st.integers(0, (1 << k) - 1))
 
 
@@ -723,7 +716,7 @@ def test_coker_xcheck_flags_tampered_multiplicity():
         matroid = from_arrangement(arr)
         m = list(matroid.m)
         m[0b0110] *= 3
-        tampered = ArithmeticMatroid(matroid.size, matroid.rk, tuple(m))
+        tampered = ArithmeticMatroid(matroid.rk, tuple(m))
         found = check_axioms(tampered, ("coker-xcheck",), arr)["coker-xcheck"]
         true_m = matroid.m[0b0110]
         assert [(v.subsets, v.detail) for v in found] == [

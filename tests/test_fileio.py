@@ -137,7 +137,7 @@ def test_read_limit_holds_every_canonical_document():
     pair = (1 - COORD_LIMIT,) * 2
 
     def length(k: int, n: int) -> int:
-        matrix = RingMatrix(curve_gauss(), k, n, ((pair,) * n,) * k)
+        matrix = RingMatrix(curve_gauss(), n, ((pair,) * n,) * k)
         return len(serialize_arrangement(EllipticArrangement(matrix)).encode())
 
     for n in (0, 1, 2, 3):

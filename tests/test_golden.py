@@ -84,7 +84,7 @@ def _tampered(arrangement) -> ArithmeticMatroid:
     rk, m = list(matroid.rk), list(matroid.m)
     m[1] *= 3
     rk[1] -= 1
-    return ArithmeticMatroid(matroid.size, tuple(rk), tuple(m))
+    return ArithmeticMatroid(tuple(rk), tuple(m))
 
 
 def _cases() -> list[tuple[list[str], bool]]:

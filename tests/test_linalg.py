@@ -153,7 +153,7 @@ def test_smith_invariant_under_unimodular_operations():
 
 def test_expand_lambda_block_layout():
     # 1 x 2 matrix (2, 1 + sqrt(-3)): blocks X = (2, 1), Y = (0, 1)
-    mat = RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0), (1, 1)]])
+    mat = RingMatrix(curve_sqrt3(), 2, [[(2, 0), (1, 1)]])
     expansion = expand_lambda(mat)
     assert expansion == [[2, 1, 0, -3], [0, 1, 2, 1]]
     # Interleaving the column blocks recovers the entrywise 2x2 layout.
@@ -162,7 +162,7 @@ def test_expand_lambda_block_layout():
 
 
 def test_expand_lambda_zero_matrix():
-    mat = RingMatrix.from_pairs(curve_sqrt3(), [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
+    mat = RingMatrix(curve_sqrt3(), 2, [[(0, 0), (0, 0)], [(0, 0), (0, 0)]])
     expansion = expand_lambda(mat)
     assert len(expansion) == 4 and all(len(row) == 4 for row in expansion)
     assert all(v == 0 for row in expansion for v in row)
@@ -170,7 +170,7 @@ def test_expand_lambda_zero_matrix():
 
 def test_expand_lambda_generator_over_half_i():
     # N*tau = 2i acting on <1, i/2>: 2i*1 = 4*(i/2), 2i*(i/2) = -1.
-    mat = RingMatrix.from_pairs(curve_half_i(), [[(0, 1)]])
+    mat = RingMatrix(curve_half_i(), 1, [[(0, 1)]])
     assert expand_lambda(mat) == [[0, -1], [4, 0]]
     # Over C/R the lattice is <1, 2i>: 2i*1 = 2i, 2i*2i = -4.
     assert expand_lambda(_over_order(mat)) == [[0, -4], [1, 0]]
@@ -195,13 +195,13 @@ def test_order_curve_expansion_is_the_r_basis_expansion():
 
 
 def test_order_curve_expansion_of_a_scalar():
-    mat = RingMatrix.from_pairs(curve_half_i(), [[(2, 0)]])
+    mat = RingMatrix(curve_half_i(), 1, [[(2, 0)]])
     assert expand_lambda(_over_order(mat)) == [[2, 0], [0, 2]]
     assert expand_lambda(mat) == [[2, 0], [0, 2]]
 
 
 def test_conj_transpose_column():
-    mat = RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0)], [(1, 1)]])
+    mat = RingMatrix(curve_sqrt3(), 1, [[(2, 0)], [(1, 1)]])
     flipped = conj_transpose(mat)
     assert (flipped.k, flipped.n) == (1, 2)
     assert flipped.entries[0][0] == (2, 0)
@@ -210,7 +210,7 @@ def test_conj_transpose_column():
 
 def test_conj_transpose_identity_and_involution():
     units = (((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)), ((0, 0), (0, 0), (1, 0)))
-    ident = RingMatrix(curve_omega3(), 3, 3, units)
+    ident = RingMatrix(curve_omega3(), 3, units)
     assert conj_transpose(ident) == ident
     rng = random.Random(9)
     for _ in range(20):
@@ -220,20 +220,29 @@ def test_conj_transpose_identity_and_involution():
 
 def test_ring_matrix_validates_its_shape():
     row = ((1, 0), (0, 1))
-    with pytest.raises(ParameterError, match="row count mismatch"):
-        RingMatrix(curve_sqrt3(), 2, 2, (row,))
     with pytest.raises(ParameterError, match="column count mismatch"):
-        RingMatrix(curve_sqrt3(), 2, 2, (row, row[:1]))
+        RingMatrix(curve_sqrt3(), 2, (row, row[:1]))
     with pytest.raises(ParameterError, match="column count mismatch"):
-        RingMatrix(curve=curve_sqrt3(), k=1, n=3, entries=(row,))
-    square = RingMatrix(curve_sqrt3(), 2, 2, (row, row))
-    assert square.entries == (row, row)
-    with pytest.raises(ParameterError, match="row count mismatch"):
-        square._replace(k=3)
+        RingMatrix(curve=curve_sqrt3(), n=3, entries=(row,))
+    square = RingMatrix(curve_sqrt3(), 2, (row, row))
+    assert square.entries == (row, row) and square.k == 2
+    with pytest.raises(ParameterError, match="column count mismatch"):
+        square._replace(n=3)
+    # The row count is read off the rows, and the one constructor takes them.
+    assert RingMatrix._fields == ("curve", "n", "entries")
+    assert not hasattr(RingMatrix, "from_pairs")
+
+
+def test_ring_matrix_refuses_a_negative_width():
+    # Zero rows of width -3 would give the arrangement rk = (-3,).
+    with pytest.raises(ParameterError, match="column count must be non-negative"):
+        RingMatrix(curve_sqrt3(), -3, ())
+    with pytest.raises(ParameterError, match="column count must be non-negative"):
+        RingMatrix(curve_sqrt3(), 0, ())._replace(n=-1)
 
 
 def test_row_select():
-    mat = RingMatrix.from_pairs(curve_sqrt3(), [[(2, 0)], [(1, 1)]])
+    mat = RingMatrix(curve_sqrt3(), 1, [[(2, 0)], [(1, 1)]])
     assert row_select(mat, range(2)) == mat
     empty = row_select(mat, ())
     assert (empty.k, empty.n) == (0, 1)

@@ -49,11 +49,7 @@ def _verdict(matroid: ArithmeticMatroid, name: str):
 
 
 def _free_matroid(k: int) -> ArithmeticMatroid:
-    return ArithmeticMatroid(
-        k,
-        tuple(s.bit_count() for s in range(1 << k)),
-        tuple(1 for _ in range(1 << k)),
-    )
+    return ArithmeticMatroid([s.bit_count() for s in range(1 << k)], [1] * (1 << k))
 
 
 def test_from_arrangement_tables():
@@ -65,7 +61,7 @@ def test_from_arrangement_tables():
 
 
 def test_from_arrangement_empty_ground_set():
-    arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 0, 0, ()))
+    arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 0, ()))
     matroid = from_arrangement(arr)
     assert matroid.size == 0
     assert matroid.rk == (0,)
@@ -79,21 +75,42 @@ def test_from_arrangement_cap():
 
 
 def test_table_shape_validation():
-    with pytest.raises(ParameterError, match="ground set size must be non-negative"):
-        ArithmeticMatroid(-1, (), ())
-    with pytest.raises(ParameterError, match="ground set size must be non-negative"):
-        ArithmeticMatroid(0, (0,), (1,))._replace(size=-1)
-    with pytest.raises(ParameterError, match="tables must have 4 entries"):
-        ArithmeticMatroid(2, (0, 1, 1), (1, 1, 1, 1))
-    with pytest.raises(ParameterError, match="tables must have 4 entries"):
-        ArithmeticMatroid(2, (0, 1, 1, 1), (1, 1, 1, 1, 1))
+    # The ground set is read off the tables: they must be equally long, of
+    # length 2^size.
+    for rk, m in (((), ()), ((0, 1, 1), (1, 1, 1)), ((0, 1, 1, 1), (1, 1, 1, 1, 1))):
+        with pytest.raises(ParameterError, match="equal lengths, a power of 2"):
+            ArithmeticMatroid(rk, m)
+    with pytest.raises(ParameterError, match="equal lengths, a power of 2"):
+        ArithmeticMatroid((0,), (1,))._replace(rk=())
     with pytest.raises(ParameterError, match="multiplicities must be positive"):
-        ArithmeticMatroid(1, (0, 1), (1, 0))
+        ArithmeticMatroid((0, 1), (1, 0))
     with pytest.raises(ParameterError, match="multiplicities must be positive"):
-        ArithmeticMatroid(size=1, rk=(0, 1), m=(-1, 1))
+        ArithmeticMatroid(rk=(0, 1), m=(-1, 1))
     # _replace builds a new tuple without __new__ unless _make is checked too.
     with pytest.raises(ParameterError, match="multiplicities must be positive"):
-        ArithmeticMatroid(1, (0, 1), (1, 1))._replace(m=(1, 0))
+        ArithmeticMatroid((0, 1), (1, 1))._replace(m=(1, 0))
+    assert ArithmeticMatroid._fields == ("rk", "m")
+    assert (ArithmeticMatroid((0,), (1,)).size, _free_matroid(3).size) == (0, 3)
+
+
+def test_records_built_from_lists_are_the_tuple_built_ones():
+    # Both records store tuples whatever sequences they are given, so a
+    # list-built record equals, hashes and verifies like the tuple-built one.
+    arr = random_arrangement(3, 2, 3, -1, 2, 1, 3, 1)
+    matroid = from_arrangement(arr)
+    listed = ArithmeticMatroid(list(matroid.rk), list(matroid.m))
+    assert listed == matroid and hash(listed) == hash(matroid)
+    assert check_axioms(listed, ("dual", "coker-xcheck"), arr) == {"dual": (), "coker-xcheck": ()}
+    rows = [[(2, 0)], [(1, 1)]]
+    listed_arr = EllipticArrangement(RingMatrix(curve_sqrt3(), 1, rows))
+    assert listed_arr.matrix == new_realization_sqrt3().matrix
+    assert hash(listed_arr) == hash(new_realization_sqrt3())
+    # The caller's lists are copied, and the stored rows cannot change.
+    rows[0][0] = (5, 0)
+    rows.append([(1, 0)])
+    with pytest.raises(TypeError):
+        listed_arr.matrix.entries[0][0] = (5, 0)
+    assert from_arrangement(listed_arr).m == (1, 4, 4, 2)
 
 
 def test_verify_matroid_passes_on_examples():
@@ -102,7 +119,7 @@ def test_verify_matroid_passes_on_examples():
 
 
 def test_verify_matroid_flags_nonzero_empty_rank():
-    broken = ArithmeticMatroid(1, (1, 1), (1, 1))
+    broken = ArithmeticMatroid((1, 1), (1, 1))
     axioms = {v.axiom for v in _verdict(broken, "rank")}
     assert "r1" in axioms
 
@@ -110,7 +127,7 @@ def test_verify_matroid_flags_nonzero_empty_rank():
 def test_verify_a1_passes_and_fails():
     assert _verdict(_example_matroid(), "a1") == ()
     assert _verdict(_free_matroid(2), "a1") == ()
-    tampered = ArithmeticMatroid(2, (0, 1, 1, 1), (1, 4, 4, 3))
+    tampered = ArithmeticMatroid((0, 1, 1, 1), (1, 4, 4, 3))
     violations = _verdict(tampered, "a1")
     assert violations
     assert all(v.axiom == "a1" for v in violations)
@@ -134,7 +151,7 @@ def test_verify_a2_examples():
     assert _verdict(_free_matroid(3), "a2") == ()
     # rank (0,1,0,1) makes [empty, {1,2}] a molecule with one coloop and one
     # loop; multiplicities (1,2,1,1) break the product identity on it.
-    tampered = ArithmeticMatroid(2, (0, 1, 0, 1), (1, 2, 1, 1))
+    tampered = ArithmeticMatroid((0, 1, 0, 1), (1, 2, 1, 1))
     violations = _verdict(tampered, "a2")
     assert violations
     assert violations[0].subsets == (0, 0b11)
@@ -166,7 +183,7 @@ def test_interval_pass_matches_exhaustive_scans():
             m = list(matroid.m)
             for _ in range(rng.randint(1, 4)):
                 m[rng.randrange(len(m))] = rng.randint(1, 12)
-            tampered.append(ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)))
+            tampered.append(ArithmeticMatroid(matroid.rk, tuple(m)))
         for table in tampered:
             verdicts = check_axioms(table, names)
             assert verdicts == molecule_scan_verdicts(table)
@@ -174,7 +191,7 @@ def test_interval_pass_matches_exhaustive_scans():
         rk = list(matroid.rk)
         s = rng.randrange(len(rk))
         rk[s] = max(0, rk[s] + rng.choice((-1, 1)))
-        broken = ArithmeticMatroid(matroid.size, tuple(rk), matroid.m)
+        broken = ArithmeticMatroid(tuple(rk), matroid.m)
         verdicts = check_axioms(broken, ("p1", "p2"))
         reference = molecule_scan_verdicts(broken)
         assert verdicts == {"p1": reference["p1"], "p2": reference["p2"]}
@@ -202,9 +219,9 @@ def test_ternary_transform_matches_superset_sums(monkeypatch):
         random_rk = tuple(rng.randint(0, matroid.size) for _ in rk)
         tables += [
             matroid,
-            ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)),
-            ArithmeticMatroid(matroid.size, tuple(rk), matroid.m),
-            ArithmeticMatroid(matroid.size, random_rk, tuple(m)),
+            ArithmeticMatroid(matroid.rk, tuple(m)),
+            ArithmeticMatroid(tuple(rk), matroid.m),
+            ArithmeticMatroid(random_rk, tuple(m)),
         ]
     for k in (0, 1, 7, 8):
         tables.append(from_arrangement(random_arrangement(k, 3, 3, -1, 2, 1, 3, k)))
@@ -235,12 +252,12 @@ def test_local_pass_matches_exhaustive_scan():
             m = list(matroid.m)
             for _ in range(rng.randint(1, 4)):
                 m[rng.randrange(len(m))] = rng.randint(1, 12)
-            tables.append(ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)))
+            tables.append(ArithmeticMatroid(matroid.rk, tuple(m)))
         for _ in range(3):
             rk = list(matroid.rk)
             s = rng.randrange(len(rk))
             rk[s] = max(0, rk[s] + rng.choice((-1, 1)))
-            tables.append(ArithmeticMatroid(matroid.size, tuple(rk), matroid.m))
+            tables.append(ArithmeticMatroid(tuple(rk), matroid.m))
         for table in tables:
             verdicts = check_axioms(table, ("rank", "a1"))
             reference = rank_and_a1_scan(table)
@@ -270,7 +287,7 @@ def test_tutte_buckets_match_per_subset_expansion():
     for matroid in tables[:40]:
         rk = list(matroid.rk)
         rk[rng.randrange(len(rk))] += rng.choice((-1, 1))
-        tables.append(ArithmeticMatroid(matroid.size, tuple(rk), matroid.m))
+        tables.append(ArithmeticMatroid(tuple(rk), matroid.m))
     for matroid in tables:
         assert tutte(matroid) == tutte_per_subset(matroid)
 
@@ -318,7 +335,7 @@ def test_dual_is_an_involution_on_random_tables():
         for s in range(1, total):
             rk[s] = rng.randint(0, s.bit_count())
         m = [rng.randint(1, 9) for _ in range(total)]
-        matroid = ArithmeticMatroid(k, tuple(rk), tuple(m))
+        matroid = ArithmeticMatroid(tuple(rk), tuple(m))
         assert matroid.dual().dual() == matroid
 
 
@@ -333,7 +350,7 @@ def test_minors_commute_with_duality_on_random_tables():
         for s in range(1, total):
             rk[s] = rng.randint(0, s.bit_count())
         m = [rng.randint(1, 9) for _ in range(total)]
-        matroid = ArithmeticMatroid(k, tuple(rk), tuple(m))
+        matroid = ArithmeticMatroid(tuple(rk), tuple(m))
         dual = matroid.dual()
         for t in range(total):
             assert matroid.contraction(t).dual() == dual.deletion(t)
@@ -382,7 +399,7 @@ def test_gcd_property_split_prime_counterexample():
     from support import curve_gauss, ideal_gcd_oracle
 
     pairs = [[(2, 3), (2, 3)], [(1, 0), (0, 0)], [(0, 0), (2, -3)]]
-    mat = RingMatrix.from_pairs(curve_gauss(), pairs)
+    mat = RingMatrix(curve_gauss(), 2, pairs)
     matroid = from_arrangement(EllipticArrangement(mat))
     assert matroid.m[0b011] == 13
     assert matroid.m[0b101] == 169
@@ -445,8 +462,8 @@ def test_char_poly():
     assert char_poly(_free_matroid(1)) == (-1, 1)
     # Tampered tables with a negative rank: rk(empty) = -1 gives t - 1 at
     # rk(E) = 0, and rk(E) = -1 keeps only E itself.
-    assert char_poly(ArithmeticMatroid(1, (-1, 0), (1, 1))) == (-1, 1)
-    assert char_poly(ArithmeticMatroid(2, (0, 1, 1, -1), (1, 1, 1, 1))) == (1,)
+    assert char_poly(ArithmeticMatroid((-1, 0), (1, 1))) == (-1, 1)
+    assert char_poly(ArithmeticMatroid((0, 1, 1, -1), (1, 1, 1, 1))) == (1,)
 
 
 def test_char_poly_is_tutte_specialization():
@@ -470,8 +487,8 @@ def test_char_poly_is_tutte_specialization():
         s = rng.randrange(len(rk))
         rk[s] += rng.choice((-1, 1))
         m[rng.randrange(len(m))] += rng.randint(1, 5)
-        cases.append((ArithmeticMatroid(matroid.size, tuple(rk), matroid.m), n))
-        cases.append((ArithmeticMatroid(matroid.size, matroid.rk, tuple(m)), n))
+        cases.append((ArithmeticMatroid(tuple(rk), matroid.m), n))
+        cases.append((ArithmeticMatroid(matroid.rk, tuple(m)), n))
     for matroid, n in cases:
         chi, t_poly = char_poly(matroid), tutte(matroid)
         r = matroid.full_rank
@@ -486,7 +503,7 @@ def test_char_poly_is_tutte_specialization():
 def test_euler_characteristic():
     matroid = _example_matroid()
     assert euler_characteristic(matroid, 1) == -6
-    point = ArithmeticMatroid(0, (0,), (1,))
+    point = ArithmeticMatroid((0,), (1,))
     assert euler_characteristic(point, 0) == 1
     assert euler_characteristic(matroid, 2) == 0
     # Ambient dimension below the rank: no subset of rank 0 is a point

@@ -209,7 +209,7 @@ def test_min_poly_has_tau_as_root_exactly():
 def _conj(curve, u: tuple[int, int]) -> tuple[int, int]:
     """Conjugation as the library computes it: the A^H row of the stacked
     arrangement of a 1 x 1 arrangement."""
-    single = EllipticArrangement(RingMatrix.from_pairs(curve, [[u]]))
+    single = EllipticArrangement(RingMatrix(curve, 1, [[u]]))
     return dual_arrangement(single)[0].matrix.entries[1][0]
 
 
