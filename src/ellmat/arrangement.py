@@ -80,7 +80,7 @@ from math import prod
 from typing import Callable, NamedTuple
 
 from .linalg import RingMatrix, echelon_basis, echelon_insert, expand_lambda, smith_form
-from .quadratic_order import CurveParams, ParameterError
+from .quadratic_order import CurveParams, ParameterError, as_int
 
 # The rank and the multiplicity tables of a run of subsets.
 Tables = tuple[tuple[int, ...], tuple[int, ...]]
@@ -217,7 +217,7 @@ class EllipticArrangement(NamedTuple):
         They come in the bitmask order of the divisors outside `fixed`, the
         order of the contraction by `fixed`.
         """
-        if not 0 <= fixed < 1 << self.k:
+        if not 0 <= as_int(fixed, "fixed") < 1 << self.k:
             raise ParameterError(f"subset {fixed:#x} out of range for {self.k} divisors")
         return self._walk(fixed, _multiplicity)
 

@@ -25,12 +25,7 @@ import sys
 from typing import Sequence
 
 from .arrangement import dual_arrangement
-from .fileio import (
-    load_arrangement,
-    random_arrangement,
-    save_arrangement,
-    serialize_arrangement,
-)
+from .fileio import load_arrangement, random_arrangement, save_arrangement, serialize_arrangement
 from .matroid import (
     AXIOM_NAMES,
     AXIOMS,

@@ -29,19 +29,14 @@ from typing import Any
 
 from .arrangement import EllipticArrangement
 from .linalg import RingMatrix
-from .quadratic_order import COORD_LIMIT, ENTRY_LIMIT, ParameterError, make_curve, make_field
+from .quadratic_order import COORD_LIMIT, ENTRY_LIMIT, ParameterError, as_int
+from .quadratic_order import make_curve, make_field
 
 
 # The longest canonical document of a legal arrangement: ENTRY_LIMIT rows of
 # one entry at coordinates -(COORD_LIMIT - 1), 102 bytes a row (a zero-width
 # row takes 10), and a header far below 4096 bytes.
 READ_LIMIT = ENTRY_LIMIT * (2 * len(str(1 - COORD_LIMIT)) + 60) + 4096
-
-
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{where}: expected an integer, got {value!r}")
-    return value
 
 
 def _as_object(value: Any, where: str, keys: tuple[str, ...]) -> dict:
@@ -72,36 +67,22 @@ def parse_document(doc: Any) -> EllipticArrangement:
     tau_obj = _as_object(top["tau"], "tau", ("a", "b", "c"))
     matrix_obj = _as_object(top["matrix"], "matrix", ("rows", "cols", "entries"))
 
-    field = make_field(_as_int(field_obj["m"], "field.m"))
-    curve = make_curve(
-        field,
-        _as_int(tau_obj["a"], "tau.a"),
-        _as_int(tau_obj["b"], "tau.b"),
-        _as_int(tau_obj["c"], "tau.c"),
-    )
-
-    rows = _as_int(matrix_obj["rows"], "matrix.rows")
-    cols = _as_int(matrix_obj["cols"], "matrix.cols")
+    curve = make_curve(make_field(field_obj["m"]), tau_obj["a"], tau_obj["b"], tau_obj["c"])
+    rows = as_int(matrix_obj["rows"], "matrix.rows")
+    cols = as_int(matrix_obj["cols"], "matrix.cols")
     if rows < 0 or cols < 0:
         raise ParameterError("matrix.rows and matrix.cols must be non-negative")
     _check_size(rows, cols)
     entries = matrix_obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
-        raise ParameterError(
-            f"matrix.entries: expected {rows} rows, got "
-            f"{len(entries) if isinstance(entries, list) else type(entries).__name__}"
-        )
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParameterError(f"matrix.entries[{i}]: expected {cols} entries")
-        for j, pair in enumerate(row):
-            where = f"matrix.entries[{i}][{j}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParameterError(f"{where}: expected an [x, y] pair")
-            x, y = _as_int(pair[0], where), _as_int(pair[1], where)
+        raise ParameterError(f"matrix.entries: expected a list of {rows} rows")
+    # RingMatrix refuses any entry that is not an (x, y) pair of ints.
+    matrix = RingMatrix(curve, cols, entries)
+    for i, row in enumerate(matrix.entries):
+        for j, (x, y) in enumerate(row):
             if max(abs(x), abs(y)) >= COORD_LIMIT:
-                raise ParameterError(f"{where}: |x| and |y| must be below 2^64")
-    return EllipticArrangement(RingMatrix(curve, cols, entries))
+                raise ParameterError(f"matrix.entries[{i}][{j}]: |x| and |y| must be below 2^64")
+    return EllipticArrangement(matrix)
 
 
 def parse_text(text: str) -> EllipticArrangement:
@@ -161,15 +142,13 @@ def random_arrangement(
     serialized bytes.  More than ENTRY_LIMIT rows, columns or entries are
     refused before any is drawn.
     """
-    if k < 0 or n < 0:
+    if as_int(k, "k") < 0 or as_int(n, "n") < 0:
         raise ParameterError("k and n must be non-negative")
     _check_size(k, n)
-    if bound < 0:
-        raise ParameterError("bound must be non-negative")
-    if bound >= COORD_LIMIT:
-        raise ParameterError("bound must be below 2^64")
+    if not 0 <= as_int(bound, "bound") < COORD_LIMIT:
+        raise ParameterError(f"bound must be non-negative and below 2^64, got {bound}")
     curve = make_curve(make_field(m), a, b, c)
-    rng = random.Random(seed)
+    rng = random.Random(as_int(seed, "seed"))
     rows = [
         [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(n)]
         for _ in range(k)

@@ -23,10 +23,11 @@ steps over Python integers), builds the echelon bases of the walk of
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .quadratic_order import CurveParams, ParameterError
+from .quadratic_order import CurveParams, ParameterError, as_int
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -97,6 +98,17 @@ def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
     return tuple(diagonal)
 
 
+def _refusal(entries: Iterable) -> ParameterError:
+    """The error naming the first bad row or entry of `entries`, as given."""
+    for i, row in enumerate(entries):
+        if not isinstance(row, Iterable):
+            return ParameterError(f"entries[{i}]: expected a row of entries, got {row!r}")
+        for j, pair in enumerate(row):
+            if not isinstance(pair, Iterable) or [*map(type, pair)] != [int, int]:
+                return ParameterError(f"entries[{i}][{j}]: expected a pair of ints, got {pair!r}")
+    return ParameterError("entries: expected rows of pairs of ints")
+
+
 class _Matrix(NamedTuple):
     curve: CurveParams
     n: int
@@ -107,16 +119,23 @@ class _Matrix(NamedTuple):
 class RingMatrix(_Matrix):
     """Matrix of n columns over the order R of `curve`, its rows `entries`;
     entry (x, y) is x + y*N*tau.  Rows and entries of any sequence type are
-    stored as tuples, and the row count k is the number of rows."""
+    stored as tuples, and the row count k is the number of rows.  Any entry
+    that is not a pair of ints, a bool included, is refused."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, curve: CurveParams, n: int, entries: Iterable) -> "RingMatrix":
-        if n < 0:
+        if as_int(n, "column count") < 0:
             raise ParameterError("column count must be non-negative")
-        rows = tuple([tuple(map(tuple, row)) for row in entries])
-        if any(len(row) != n for row in rows):
+        try:
+            rows = tuple([tuple(map(tuple, row)) for row in entries])
+        except TypeError:
+            raise _refusal(entries) from None
+        cells = tuple(chain.from_iterable(rows))
+        if {*map(len, cells), *map(type, chain.from_iterable(cells))} - {2, int}:
+            raise _refusal(entries)
+        if {*map(len, rows)} - {n}:
             raise ParameterError("column count mismatch")
         return super().__new__(cls, curve, n, rows)
 
@@ -138,6 +157,6 @@ def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:
     """Submatrix of the rows in `indices` (0-based), ascending."""
     picked = sorted(set(indices))
     for i in picked:
-        if not 0 <= i < a.k:
+        if not 0 <= as_int(i, "row index") < a.k:
             raise ParameterError(f"row index {i} out of range for {a.k} rows")
     return RingMatrix(a.curve, a.n, [a.entries[i] for i in picked])

@@ -54,7 +54,7 @@ from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .arrangement import EllipticArrangement, dual_arrangement
-from .quadratic_order import ParameterError, format_terms, order_curve
+from .quadratic_order import ParameterError, as_int, format_terms, order_curve
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -89,8 +89,8 @@ class ArithmeticMatroid(_Matroid):
     bitmask, so their length 2^size gives the size of the ground set.
     Tables of any sequence type are stored as tuples.
 
-    Construction validates only shapes and positivity of m; the axioms are
-    the verifiers' business, so deliberately broken tables are expressible.
+    Construction checks only shapes, int values and positive m; the axioms
+    are the verifiers' business, so deliberately broken tables are expressible.
     """
 
     __slots__ = ()
@@ -100,6 +100,8 @@ class ArithmeticMatroid(_Matroid):
         rk, m = tuple(rk), tuple(m)
         if len(rk) != len(m) or not rk or len(rk) & (len(rk) - 1):
             raise ParameterError("tables must have equal lengths, a power of 2")
+        if {*map(type, rk), *map(type, m)} != {int}:
+            as_int(next(v for v in rk + m if type(v) is not int), "tables")
         if any(v < 1 for v in m):
             raise ParameterError("multiplicities must be positive")
         return super().__new__(cls, rk, m)
@@ -126,7 +128,7 @@ class ArithmeticMatroid(_Matroid):
     def _kept_masks(self, t_mask: int) -> list[int]:
         """Every subset of the elements outside t_mask, at the index of its
         renumbered form, the order of the contraction and the deletion."""
-        if not 0 <= t_mask <= self.ground_mask:
+        if not 0 <= as_int(t_mask, "subset") <= self.ground_mask:
             raise ParameterError("subset out of range")
         wide = [0]
         for i in bit_indices(self.ground_mask ^ t_mask):

@@ -16,7 +16,7 @@ else in the package, uses floating point.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 
 class ParameterError(ValueError):
@@ -35,6 +35,13 @@ COORD_LIMIT = 1 << 64
 # entries than this before any work, so a huge shape or --k or --n exits
 # with an error, not a hang.
 ENTRY_LIMIT = 10**6
+
+
+def as_int(value: Any, where: str) -> int:
+    """`value` if its type is int, a bool refused; else ParameterError naming `where`."""
+    if type(value) is not int:
+        raise ParameterError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 def is_square_free(m: int) -> bool:
@@ -75,10 +82,8 @@ class FieldParams(NamedTuple):
 
 def make_field(m: int) -> FieldParams:
     """Q(sqrt(-m)) and omega's trace and norm; m must be positive, square-free and below 2^64."""
-    if m < 1:
-        raise ParameterError(f"m must be a positive integer, got {m}")
-    if m >= M_LIMIT:
-        raise ParameterError(f"m must be below 2^64, got {m}")
+    if not 1 <= as_int(m, "m") < M_LIMIT:
+        raise ParameterError(f"m must be a positive integer below 2^64, got {m}")
     if not is_square_free(m):
         raise ParameterError(f"m must be square-free, got {m}")
     return FieldParams(m, 1, (m + 1) // 4) if m % 4 == 3 else FieldParams(m, 0, m)
@@ -117,11 +122,11 @@ def make_curve(field: FieldParams, a: int, b: int, c: int) -> CurveParams:
     normalized by negating the whole triple; non-primitive triples are
     rejected rather than reduced, so stored parameters are canonical.
     """
-    if b == 0:
+    if as_int(b, "b") == 0:
         raise ParameterError("b = 0 makes tau real")
-    if c == 0:
+    if as_int(c, "c") == 0:
         raise ParameterError("c must be nonzero")
-    if max(abs(a), abs(b), abs(c)) >= COORD_LIMIT:
+    if max(abs(as_int(a, "a")), abs(b), abs(c)) >= COORD_LIMIT:
         raise ParameterError("|a|, |b| and |c| of tau must be below 2^64")
     if gcd(gcd(a, b), c) != 1:
         raise ParameterError(f"gcd(a, b, c) must be 1, got ({a}, {b}, {c})")
