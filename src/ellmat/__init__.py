@@ -12,7 +12,6 @@ from .quadratic_order import (
     CurveParams,
     FieldParams,
     ParameterError,
-    is_square_free,
     make_curve,
     make_field,
     min_poly,

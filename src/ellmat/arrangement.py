@@ -66,8 +66,8 @@ node and its subtree keep the prefill.  `reports(fixed)` walks the
 subsets containing `fixed`, whose rows are inserted first as a shared
 prefix, measuring the multiplicity; `reports()` covers all 2^k subsets in
 ascending bitmask order, and its pair (rk, m) of int tuples is the shape
-`ArithmeticMatroid` takes.  The cokernel cross-check of `matroid` calls it on A over the
-curve C/R of `quadratic_order.order_curve`, whose lattice is R itself.
+`ArithmeticMatroid` takes.  The cokernel cross-check of `matroid` calls it on sigma(A)*P
+over the curve C/R of `quadratic_order.order_curve`, whose lattice is R itself.
 `torsion_chains()` is the walk of `reports()` measuring the invariant
 factors above 1 of every subset, m(S) being their product.
 A walk over more than MAX_GROUND free divisors is refused when it is
@@ -79,7 +79,7 @@ from __future__ import annotations
 from math import prod
 from typing import Callable, NamedTuple
 
-from .linalg import RingMatrix, echelon_basis, echelon_insert, expand_lambda, smith_form
+from .linalg import RingMatrix, conjugate, echelon_basis, echelon_insert, expand_lambda, smith_form
 from .quadratic_order import CurveParams, ParameterError, as_int
 
 # The rank and the multiplicity tables of a run of subsets.
@@ -238,16 +238,14 @@ def dual_arrangement(arr: EllipticArrangement) -> tuple[EllipticArrangement, int
     Returns the arrangement of the (k+n) x k matrix (I_k over A^H), an
     arrangement of k+n divisors in E^k, together with the bitmask T of the
     n rows coming from A^H (the set to contract).  Row j of A^H is column
-    j of A conjugated: the conjugate of w = N*tau is s - w, s = gen_trace,
-    so x + y*w maps to (x + s*y) - y*w.  Torsion counts of the conjugate
+    j of A conjugated (`linalg.conjugate`).  Torsion counts of the conjugate
     transpose match those of A, so the same curve parameters serve for the
     dual side.  Contracting the rows e_i, i in S, deletes the columns of
     divisor i, so S + T has the torsion order of the conjugate transpose
     of the rows E - S of A: the dual check reads one walk of it.
     """
-    k, n, s = arr.k, arr.n, arr.curve.gen_trace
+    k, n = arr.k, arr.n
     units = [[(1 if i == j else 0, 0) for j in range(k)] for i in range(k)]
-    conj = [[(x + s * y, -y) for x, y in row] for row in arr.matrix.entries]
-    # The rows of A^H are the columns of conj; with k = 0 there is nothing to zip.
-    rows = units + (list(zip(*conj)) or [()] * n)
+    # The rows of A^H are the columns of sigma(A); with k = 0 there is nothing to zip.
+    rows = units + (list(zip(*conjugate(arr.matrix))) or [()] * n)
     return EllipticArrangement(RingMatrix(arr.curve, k, rows)), ((1 << n) - 1) << k

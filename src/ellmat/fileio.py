@@ -119,11 +119,7 @@ def serialize_arrangement(arr: EllipticArrangement) -> str:
     doc = {
         "field": {"m": curve.field.m},
         "tau": {"a": curve.a, "b": curve.b, "c": curve.c},
-        "matrix": {
-            "rows": matrix.k,
-            "cols": matrix.n,
-            "entries": [[[x, y] for x, y in row] for row in matrix.entries],
-        },
+        "matrix": {"rows": matrix.k, "cols": matrix.n, "entries": matrix.entries},
     }
     return json.dumps(doc, indent=2) + "\n"
 

@@ -99,14 +99,14 @@ def smith_form(matrix: list[list[int]]) -> tuple[int, ...]:
 
 
 def _refusal(entries: Iterable) -> ParameterError:
-    """The error naming the first bad row or entry of `entries`, as given."""
-    for i, row in enumerate(entries):
+    """The error naming the first bad row or entry of `entries`, or `entries`, as given."""
+    for i, row in enumerate(entries if isinstance(entries, Iterable) else ()):
         if not isinstance(row, Iterable):
             return ParameterError(f"entries[{i}]: expected a row of entries, got {row!r}")
         for j, pair in enumerate(row):
             if not isinstance(pair, Iterable) or [*map(type, pair)] != [int, int]:
                 return ParameterError(f"entries[{i}][{j}]: expected a pair of ints, got {pair!r}")
-    return ParameterError("entries: expected rows of pairs of ints")
+    return ParameterError(f"entries: expected rows of pairs of ints, got {entries!r}")
 
 
 class _Matrix(NamedTuple):
@@ -151,6 +151,13 @@ def expand_lambda(a: RingMatrix) -> list[list[int]]:
     top = [[x for x, _ in row] + [-d * y for _, y in row] for row in a.entries]
     bottom = [[N * y for _, y in row] + [x + s * y for x, y in row] for row in a.entries]
     return top + bottom
+
+
+def conjugate(a: RingMatrix) -> list[list[tuple[int, int]]]:
+    """The rows of sigma(A): the conjugate of w = N*tau is s - w, s = gen_trace,
+    so every entry x + y*w maps to (x + s*y) - y*w."""
+    s = a.curve.gen_trace
+    return [[(x + s * y, -y) for x, y in row] for row in a.entries]
 
 
 def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:

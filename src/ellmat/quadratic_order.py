@@ -24,7 +24,7 @@ class ParameterError(ValueError):
     oversized arrangement document: every input the package refuses."""
 
 
-# make_field refuses m at or above this, so is_square_free needs at most
+# make_field refuses m at or above this, so _is_square_free needs at most
 # about 1.3 million trial divisions.
 M_LIMIT = 1 << 64
 # make_curve, arrangement files and random arrangements refuse coordinates
@@ -44,16 +44,14 @@ def as_int(value: Any, where: str) -> int:
     return value
 
 
-def is_square_free(m: int) -> bool:
-    """True if m >= 1 and no square > 1 divides m.
+def _is_square_free(m: int) -> bool:
+    """True if no square > 1 divides m, an int in make_field's range 1 <= m < 2^64.
 
     Trial division by 2 and the odd d with d^3 <= m divides out every such
     prime, failing when d^2 divides m.  What is left has no prime factor d
     with d^3 <= m, so it has at most two prime factors and is square-free
     unless it is the square of a prime.  This costs O(m^(1/3)).
     """
-    if m < 1:
-        return False
     d = 2
     while d * d * d <= m:
         if m % d == 0:
@@ -84,7 +82,7 @@ def make_field(m: int) -> FieldParams:
     """Q(sqrt(-m)) and omega's trace and norm; m must be positive, square-free and below 2^64."""
     if not 1 <= as_int(m, "m") < M_LIMIT:
         raise ParameterError(f"m must be a positive integer below 2^64, got {m}")
-    if not is_square_free(m):
+    if not _is_square_free(m):
         raise ParameterError(f"m must be square-free, got {m}")
     return FieldParams(m, 1, (m + 1) // 4) if m % 4 == 3 else FieldParams(m, 0, m)
 

@@ -262,16 +262,22 @@ def conj_transpose(a: RingMatrix) -> RingMatrix:
 
 
 def over_order(arr: EllipticArrangement) -> EllipticArrangement:
-    """The arrangement of A over the curve C/R, the one coker-xcheck walks."""
-    return EllipticArrangement(arr.matrix._replace(curve=order_curve(arr.curve)))
+    """The arrangement coker-xcheck walks: sigma(A)*P over the curve C/R,
+    every entry conjugated (x + y*w to (x + gen_trace*y) - y*w) and the
+    columns reversed.  Both are automorphisms of R^n, so over C/R it has
+    the cokernels of A's rows, a different matrix on an N = 1 curve too."""
+    s = arr.curve.gen_trace
+    rows = [[(x + s * y, -y) for x, y in reversed(row)] for row in arr.matrix.entries]
+    return EllipticArrangement(RingMatrix(order_curve(arr.curve), arr.n, rows))
 
 
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:
     """Multiplicity recomputed from the R-basis expansion of the selected rows.
 
     One Smith form per subset, of the oracle `expand_order`: the oracle
-    for the walk of A over C/R, the one computation coker-xcheck compares
-    the tables with.  On an N = 1 curve this is the lattice expansion again.
+    for the walk of `over_order`, the one computation coker-xcheck compares
+    the tables with, whose matrix has the cokernels of A's over C/R.  On
+    an N = 1 curve this is the lattice expansion again.
     """
     rows = [i for i in range(arr.k) if subset >> i & 1]
     return prod(smith_form(expand_order(row_select(arr.matrix, rows))))

@@ -1,5 +1,7 @@
 import ast
+import inspect
 import random
+import textwrap
 import time
 from math import gcd, prod
 from pathlib import Path
@@ -244,7 +246,7 @@ def test_smith_forms_per_walk(monkeypatch):
     # empty one's basis included, and of nothing else.
     deficient = sum(1 for r in table[0] if r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
-    # coker-xcheck makes one walk of all subsets, of A over C/R, and dual
+    # coker-xcheck makes one walk of all subsets, of sigma(A)*P over C/R, and dual
     # one walk of the supersets of T in the stacked arrangement; each takes
     # the column index of its own rank-deficient subsets, and neither makes
     # the other's walk.
@@ -489,8 +491,9 @@ def test_projection_bounds_the_big_entry_bases():
 
 
 # Upper bounds on the echelon insertions of each walk, in the order
-# reports(), the coker-xcheck walk of A over C/R, the stacked reports(T) and
-# torsion_chains(), keyed by the random_arrangement arguments at seed 1.
+# reports(), the coker-xcheck walk of sigma(A)*P over C/R, the stacked
+# reports(T) and torsion_chains(), keyed by the random_arrangement
+# arguments at seed 1.
 WALK_INSERTIONS = {
     (10, 3, 3, -1, 2, 1, 3): (1198, 1198, 2032, 1198),
     (9, 4, 1, 0, 1, 1, 3): (928, 928, 942, 928),
@@ -514,9 +517,10 @@ def test_walk_work_stays_within_its_bounds(monkeypatch):
     for args, bounds in WALK_INSERTIONS.items():
         arr = random_arrangement(*args, seed=1)
         stacked, t_mask = dual_arrangement(arr)
+        matroid = from_arrangement(arr)
         walks = (
             arr.reports,
-            over_order(arr).reports,
+            lambda: check_axioms(matroid, ("coker-xcheck",), arr),
             lambda: stacked.reports(t_mask),
             arr.torsion_chains,
         )
@@ -708,8 +712,10 @@ def test_xgcd_matches_euclid(common, x, y):
 
 
 def test_coker_xcheck_flags_tampered_multiplicity():
-    # Over Z[i] (N = 1) C/R is the curve itself and coker-xcheck walks A
-    # again; over <1, 3*sqrt(-2)> (N = 9) it walks a different integer matrix.
+    # Over Z[i] (N = 1) C/R is the curve itself and coker-xcheck walks
+    # sigma(A)*P, whose expansion differs from A's in the signs of the y
+    # parts and the order of the columns; over <1, 3*sqrt(-2)> (N = 9) it
+    # walks sigma(A)*P over the curve C/R.
     for m_param, c in ((1, 1), (2, 3)):
         arr = random_arrangement(k=4, n=2, m=m_param, a=0, b=1, c=c, bound=3, seed=5)
         assert arr.curve.N == c * c
@@ -724,6 +730,41 @@ def test_coker_xcheck_flags_tampered_multiplicity():
         ]
         with pytest.raises(ParameterError):
             check_axioms(matroid.deletion(1), ("coker-xcheck",), arr)
+
+
+def _mutant(function, *edits):
+    """`function` recompiled from its source, each (old, new) edit made once."""
+    source = textwrap.dedent(inspect.getsource(function))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(inspect.getmodule(function)))
+    exec(source, namespace)
+    return namespace[function.__name__]
+
+
+# Two walk defects, keyed by the name `arrangement` calls them by: the
+# multiplicity of a rank-deficient node read as its pivot product, and an
+# echelon step that divides |x| by |a| and so leaves the column's entry.
+WALK_MUTANTS = {
+    "_multiplicity": (("_column_index(rows)", "abs(prod(next(filter(None, r)) for r in rows))"),),
+    "echelon_insert": (("x % a == 0", "abs(x) % abs(a) == 0"), ("x // a", "abs(x) // abs(a)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
+def test_coker_xcheck_flags_walk_defects_on_n1_curves(monkeypatch, name):
+    """On an N = 1 curve C/R is the curve itself, yet coker-xcheck walks
+    another matrix, sigma(A)*P, so a defect of the walk that changes the
+    tables shows in its verdict as well as in dual's."""
+    mutant = _mutant(getattr(ellmat.arrangement, name), *WALK_MUTANTS[name])
+    monkeypatch.setattr(ellmat.arrangement, name, mutant)
+    for args in ((10, 3, 3, -1, 2, 1, 3), (9, 4, 1, 0, 1, 1, 3), (7, 3, 7, 0, 1, 1, 3)):
+        for seed in (1, 9):
+            arr = random_arrangement(*args, seed=seed)
+            assert arr.curve.N == 1
+            found = check_axioms(from_arrangement(arr), ("coker-xcheck", "dual"), arr)
+            assert found["coker-xcheck"] and found["dual"], (args, seed)
 
 
 def test_subset_report_raises_on_odd_rank(monkeypatch):

@@ -11,6 +11,7 @@ from ellmat import (
     EllipticArrangement,
     ParameterError,
     RingMatrix,
+    euler_characteristic,
     make_curve,
     make_field,
     random_arrangement,
@@ -47,6 +48,16 @@ def _two_rows() -> RingMatrix:
         (lambda: EllipticArrangement(_two_rows()).reports(1.0), "1.0"),
         (lambda: ArithmeticMatroid([0, 1], [1, 2]).contraction(True), "True"),
         (lambda: row_select(_two_rows(), [1.0]), "1.0"),
+        (
+            lambda: RingMatrix(curve_sqrt3(), 1, None),
+            "entries: expected rows of pairs of ints, got None",
+        ),
+        (
+            lambda: RingMatrix(curve_sqrt3(), 1, 5),
+            "entries: expected rows of pairs of ints, got 5",
+        ),
+        (lambda: euler_characteristic(ArithmeticMatroid([0, 1], [1, 2]), 1.0), "1.0"),
+        (lambda: euler_characteristic(ArithmeticMatroid([0, 1], [1, 2]), True), "True"),
     ],
     ids=[
         "matroid-m-float",
@@ -68,6 +79,10 @@ def _two_rows() -> RingMatrix:
         "reports-fixed-float",
         "contraction-bool",
         "row-select-float",
+        "entries-none",
+        "entries-int",
+        "euler-n-float",
+        "euler-n-bool",
     ],
 )
 def test_builders_refuse_values_that_are_not_ints(build, named):

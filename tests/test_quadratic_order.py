@@ -8,12 +8,11 @@ from ellmat import (
     ParameterError,
     RingMatrix,
     dual_arrangement,
-    is_square_free,
     make_curve,
     make_field,
     min_poly,
 )
-from ellmat.quadratic_order import MinPoly, order_curve
+from ellmat.quadratic_order import MinPoly, _is_square_free, order_curve
 from support import (
     curve_half_i,
     curve_omega3,
@@ -46,8 +45,9 @@ def test_make_field_rejects_bad_m():
     for m in (4, 9, 12, 18, 0, -3):
         with pytest.raises(ParameterError):
             make_field(m)
-    assert not is_square_free(8)
-    assert is_square_free(30)
+    # make_field's own square-free step, on the m its range check lets through.
+    assert not _is_square_free(8)
+    assert _is_square_free(30)
     # 2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is the largest m taken.
     assert make_field((1 << 64) - 1).m == (1 << 64) - 1
     with pytest.raises(ParameterError):
@@ -55,8 +55,9 @@ def test_make_field_rejects_bad_m():
 
 
 def test_is_square_free_matches_trial_division():
+    # From m = 1: make_field refuses m <= 0 before its square-free step.
     flags = square_free_sieve(200000)
-    assert [m for m in range(200000) if is_square_free(m) != flags[m]] == []
+    assert [m for m in range(1, 200000) if _is_square_free(m) != flags[m]] == []
 
 
 def test_is_square_free_near_the_cube_root():
@@ -84,7 +85,7 @@ def test_is_square_free_near_the_cube_root():
             2 * p * q: True,
         }
         for m, expected in cases.items():
-            assert is_square_free(m) is expected, m
+            assert _is_square_free(m) is expected, m
             if m < 10**10:
                 assert is_square_free_by_trial(m) is expected, m
 
