@@ -66,15 +66,13 @@ node and its subtree keep the prefill.  `reports(fixed)` walks the
 subsets containing `fixed`, whose rows are inserted first as a shared
 prefix, measuring the multiplicity; `reports()` covers all 2^k subsets in
 ascending bitmask order, and its pair (rk, m) of int tuples is the shape
-`ArithmeticMatroid` takes.  The cokernel cross-check of `matroid` calls it on sigma(A)*P
+`ArithmeticMatroid` takes.  The cokernel cross-check of `matroid` calls it on sigma(A)*W
 over the curve C/R of `quadratic_order.order_curve`, whose lattice is R itself.
 `torsion_chains()` is the walk of `reports()` measuring the invariant
 factors above 1 of every subset, m(S) being their product.
 A walk over more than MAX_GROUND free divisors is refused when it is
 called, before its rows are expanded.
 """
-
-from __future__ import annotations
 
 from math import prod
 from typing import Callable, NamedTuple

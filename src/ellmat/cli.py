@@ -17,8 +17,6 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

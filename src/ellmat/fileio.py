@@ -19,8 +19,6 @@ byte-for-byte through parse and serialize.  A malformed or oversized
 document raises ParameterError; a file that cannot be opened, OSError.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import random

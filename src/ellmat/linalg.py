@@ -21,8 +21,6 @@ steps over Python integers), builds the echelon bases of the walk of
 `arrangement` and the alternating column and row passes of `smith_form`.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple
@@ -117,9 +115,9 @@ class _Matrix(NamedTuple):
 
 # A NamedTuple body may not define __new__: a subclass checks there and in _make, for _replace.
 class RingMatrix(_Matrix):
-    """Matrix of n columns over the order R of `curve`, its rows `entries`;
-    entry (x, y) is x + y*N*tau.  Rows and entries of any sequence type are
-    stored as tuples, and the row count k is the number of rows.  Any entry
+    """Matrix of n columns over the order R of `curve`, its rows `entries`,
+    an iterable read once; entry (x, y) is x + y*N*tau.  Rows and entries
+    are stored as tuples, the row count k being their number.  Any entry
     that is not a pair of ints, a bool included, is refused."""
 
     __slots__ = ()
@@ -129,6 +127,7 @@ class RingMatrix(_Matrix):
         if as_int(n, "column count") < 0:
             raise ParameterError("column count must be non-negative")
         try:
+            entries = list(entries)
             rows = tuple([tuple(map(tuple, row)) for row in entries])
         except TypeError:
             raise _refusal(entries) from None
@@ -158,6 +157,15 @@ def conjugate(a: RingMatrix) -> list[list[tuple[int, int]]]:
     so every entry x + y*w maps to (x + s*y) - y*w."""
     s = a.curve.gen_trace
     return [[(x + s * y, -y) for x, y in row] for row in a.entries]
+
+
+def shear(a: RingMatrix) -> RingMatrix:
+    """A*W, W adding w times column j - 1 to column j, so unipotent over R:
+    w*(u + v*w) = -N*d*v + (u + s*v)*w, since w^2 = s*w - N*d."""
+    nd, s = a.curve.N * a.curve.delta_prime, a.curve.gen_trace
+    pairs = [zip(row, ((0, 0), *row)) for row in a.entries]
+    rows = [[(x - nd * v, y + u + s * v) for (x, y), (u, v) in p] for p in pairs]
+    return RingMatrix(a.curve, a.n, rows)
 
 
 def row_select(a: RingMatrix, indices: Iterable[int]) -> RingMatrix:

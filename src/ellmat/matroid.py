@@ -29,11 +29,11 @@ cross-checks dual and coker-xcheck, which also read the arrangement A the
 tables came from.  Each compares the tables with one other computation:
 dual, the dual tables with one walk of the stacked arrangement
 (I_k over A^H) over the supersets of T, contracted by T; coker-xcheck,
-each m(S) with one walk of sigma(A)*P over the curve C/R whose lattice
+each m(S) with one walk of sigma(A)*W over the curve C/R whose lattice
 is R itself (`quadratic_order.order_curve`): sigma conjugates each entry
-and P reverses the columns, so the tables are A's, read off another
-matrix on every curve.  Limits: P is the identity when n = 1, and over
-Z[i] (gen_trace 0) sigma only flips the signs of the y parts.
+and W adds w = N*tau times column j - 1 to column j, so the tables are
+A's, read off another matrix on every curve.  Limits: W is the identity
+when n = 1, and over Z[i] (gen_trace 0) sigma only flips the y signs.
 
 Scale: rank and a1 come out of one local pass over the pairs (S, i) that
 checks (r3) in its local form, O(2^k k^2).  (A2), (P), (P1) and (P2) come
@@ -49,13 +49,11 @@ the tests, not this module, check both against the Tutte polynomial.
 Subsets are bitmasks, bit i standing for element i+1.
 """
 
-from __future__ import annotations
-
 from math import comb, gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .arrangement import EllipticArrangement, dual_arrangement
-from .linalg import RingMatrix, conjugate
+from .linalg import RingMatrix, conjugate, shear
 from .quadratic_order import ParameterError, as_int, format_terms, order_curve
 
 
@@ -334,10 +332,11 @@ def _dual_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[V
 
 def _coker_check(arr: EllipticArrangement, matroid: ArithmeticMatroid) -> tuple[Violation, ...]:
     """Whether each m(S) of the tables equals the multiplicity at S of one
-    walk of sigma(A)*P over the curve C/R: sigma conjugates every entry,
-    P reverses the columns, and over C/R the lattice is R itself."""
-    rows = [row[::-1] for row in conjugate(arr.matrix)]
-    over_order = EllipticArrangement(RingMatrix(order_curve(arr.curve), arr.n, rows))
+    walk of sigma(A)*W over the curve C/R, whose lattice is R itself; W
+    is the identity when n = 1, and over Z[i] sigma only flips y signs."""
+    over_order = EllipticArrangement(
+        shear(RingMatrix(order_curve(arr.curve), arr.n, conjugate(arr.matrix)))
+    )
     out = []
     for subset, (direct, via_order) in enumerate(zip(matroid.m, over_order.reports()[1])):
         if direct != via_order:
@@ -363,13 +362,13 @@ def check_axioms(
       (A2), (P1) and (P2) all do) are read off one interval pass;
     - dual checks that the stacked arrangement contracted by T realizes
       the dual tables, and coker-xcheck that every m(S) agrees with the
-      walk of sigma(A)*P over the curve C/R at S, A conjugated and its
-      columns reversed.  Both read `arrangement`, the arrangement A the
-      tables came from, and raise ParameterError without it or when its
-      ground set differs from the tables'.
+      walk of sigma(A)*W over the curve C/R at S (W is the identity when
+      n = 1; over Z[i] sigma only flips y signs).  Both read `arrangement`,
+      the arrangement A the tables came from, and raise ParameterError
+      without it or when its ground set differs from the tables'.
 
     Each pass or walk runs at most once, and only when one of its names is
-    asked: dual walks the stacked arrangement, coker-xcheck sigma(A)*P over C/R.
+    asked: dual walks the stacked arrangement, coker-xcheck sigma(A)*W over C/R.
     """
     names = tuple(dict.fromkeys(names))
     unknown = [name for name in names if name not in AXIOM_NAMES]

@@ -13,8 +13,6 @@ All values are plain Python integers; nothing in this module, or anywhere
 else in the package, uses floating point.
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 from typing import Any, Iterable, NamedTuple
 

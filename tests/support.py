@@ -262,13 +262,21 @@ def conj_transpose(a: RingMatrix) -> RingMatrix:
 
 
 def over_order(arr: EllipticArrangement) -> EllipticArrangement:
-    """The arrangement coker-xcheck walks: sigma(A)*P over the curve C/R,
-    every entry conjugated (x + y*w to (x + gen_trace*y) - y*w) and the
-    columns reversed.  Both are automorphisms of R^n, so over C/R it has
-    the cokernels of A's rows, a different matrix on an N = 1 curve too."""
-    s = arr.curve.gen_trace
-    rows = [[(x + s * y, -y) for x, y in reversed(row)] for row in arr.matrix.entries]
-    return EllipticArrangement(RingMatrix(order_curve(arr.curve), arr.n, rows))
+    """The arrangement coker-xcheck walks: sigma(A)*W over the curve C/R.
+
+    sigma conjugates every entry and W adds w times column j - 1 to column
+    j, w = N*tau.  With a_j = x + y*w, its entry j is
+    sigma(a_j) + w*sigma(a_(j-1)) = (x + s*y + N*d*v) + (u - y)*w, where
+    a_(j-1) = u + v*w (0 for j = 0), s = gen_trace and N*d = norm(w).
+    Both maps are automorphisms of R^n, so over C/R it has the cokernels
+    of A's rows, a different matrix on an N = 1 curve too."""
+    cv = arr.curve
+    s, nd = cv.gen_trace, cv.N * cv.delta_prime
+    rows = [
+        [(x + s * y + nd * v, u - y) for (x, y), (u, v) in zip(row, [(0, 0)] + list(row))]
+        for row in arr.matrix.entries
+    ]
+    return EllipticArrangement(RingMatrix(order_curve(cv), arr.n, rows))
 
 
 def multiplicity_via_order_basis(arr: EllipticArrangement, subset: int) -> int:

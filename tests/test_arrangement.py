@@ -246,7 +246,7 @@ def test_smith_forms_per_walk(monkeypatch):
     # empty one's basis included, and of nothing else.
     deficient = sum(1 for r in table[0] if r < arr.n)
     assert 0 < after_tabulation == deficient < 1 << arr.k
-    # coker-xcheck makes one walk of all subsets, of sigma(A)*P over C/R, and dual
+    # coker-xcheck makes one walk of all subsets, of sigma(A)*W over C/R, and dual
     # one walk of the supersets of T in the stacked arrangement; each takes
     # the column index of its own rank-deficient subsets, and neither makes
     # the other's walk.
@@ -491,7 +491,7 @@ def test_projection_bounds_the_big_entry_bases():
 
 
 # Upper bounds on the echelon insertions of each walk, in the order
-# reports(), the coker-xcheck walk of sigma(A)*P over C/R, the stacked
+# reports(), the coker-xcheck walk of sigma(A)*W over C/R, the stacked
 # reports(T) and torsion_chains(), keyed by the random_arrangement
 # arguments at seed 1.
 WALK_INSERTIONS = {
@@ -713,9 +713,9 @@ def test_xgcd_matches_euclid(common, x, y):
 
 def test_coker_xcheck_flags_tampered_multiplicity():
     # Over Z[i] (N = 1) C/R is the curve itself and coker-xcheck walks
-    # sigma(A)*P, whose expansion differs from A's in the signs of the y
-    # parts and the order of the columns; over <1, 3*sqrt(-2)> (N = 9) it
-    # walks sigma(A)*P over the curve C/R.
+    # sigma(A)*W, whose entries differ from A's in the signs of the y parts
+    # and by w times the column before; over <1, 3*sqrt(-2)> (N = 9) it
+    # walks sigma(A)*W over the curve C/R.
     for m_param, c in ((1, 1), (2, 3)):
         arr = random_arrangement(k=4, n=2, m=m_param, a=0, b=1, c=c, bound=3, seed=5)
         assert arr.curve.N == c * c
@@ -732,6 +732,23 @@ def test_coker_xcheck_flags_tampered_multiplicity():
             check_axioms(matroid.deletion(1), ("coker-xcheck",), arr)
 
 
+def test_coker_xcheck_walks_the_oracles_matrix(monkeypatch):
+    # The one arrangement coker-xcheck walks is sigma(A)*W over C/R as the
+    # oracle builds it, entry by entry, on every curve of the corpus.
+    walked = []
+    original = EllipticArrangement.reports
+
+    def recorded(self, fixed=0):
+        walked.append(self)
+        return original(self, fixed)
+
+    monkeypatch.setattr(EllipticArrangement, "reports", recorded)
+    for arr in arrangement_corpus():
+        walked.clear()
+        check_axioms(ArithmeticMatroid(*original(arr)), ("coker-xcheck",), arr)
+        assert walked == [over_order(arr)], arr
+
+
 def _mutant(function, *edits):
     """`function` recompiled from its source, each (old, new) edit made once."""
     source = textwrap.dedent(inspect.getsource(function))
@@ -743,23 +760,44 @@ def _mutant(function, *edits):
     return namespace[function.__name__]
 
 
-# Two walk defects, keyed by the name `arrangement` calls them by: the
-# multiplicity of a rank-deficient node read as its pivot product, and an
-# echelon step that divides |x| by |a| and so leaves the column's entry.
+# N = 1 kinds of `random_arrangement` arguments (k, n, m, a, b, c, bound).
+N1_KINDS = ((10, 3, 3, -1, 2, 1, 3), (9, 4, 1, 0, 1, 1, 3), (7, 3, 7, 0, 1, 1, 3))
+# On their two-column files the pivot-product mutant reads a singleton's
+# multiplicity as |x1*y2 - x2*y1| when that minor is nonzero.  sigma and
+# every integer column operation keep that minor; the shear W moves it.
+TWO_COLUMN_KINDS = (
+    (3, 2, 7, 0, 1, 1, 3),
+    (4, 2, 1, 0, 1, 1, 3),
+    (4, 2, 3, -1, 2, 1, 3),
+    (5, 2, 3, -1, 2, 1, 3),
+)
+# Two walk defects, keyed by the name `arrangement` calls them by, with
+# their edits and the kinds they are tried on: the multiplicity of a
+# rank-deficient node read as its pivot product, and an echelon step that
+# divides |x| by |a| and so leaves the column's entry.  On seed 9 of the
+# second two-column kind that step breaks the sigma(A)*W walk's even-rank
+# invariant, which raises instead of giving a verdict.
 WALK_MUTANTS = {
-    "_multiplicity": (("_column_index(rows)", "abs(prod(next(filter(None, r)) for r in rows))"),),
-    "echelon_insert": (("x % a == 0", "abs(x) % abs(a) == 0"), ("x // a", "abs(x) // abs(a)")),
+    "_multiplicity": (
+        (("_column_index(rows)", "abs(prod(next(filter(None, r)) for r in rows))"),),
+        N1_KINDS + TWO_COLUMN_KINDS,
+    ),
+    "echelon_insert": (
+        (("x % a == 0", "abs(x) % abs(a) == 0"), ("x // a", "abs(x) // abs(a)")),
+        N1_KINDS,
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WALK_MUTANTS))
 def test_coker_xcheck_flags_walk_defects_on_n1_curves(monkeypatch, name):
     """On an N = 1 curve C/R is the curve itself, yet coker-xcheck walks
-    another matrix, sigma(A)*P, so a defect of the walk that changes the
+    another matrix, sigma(A)*W, so a defect of the walk that changes the
     tables shows in its verdict as well as in dual's."""
-    mutant = _mutant(getattr(ellmat.arrangement, name), *WALK_MUTANTS[name])
+    edits, kinds = WALK_MUTANTS[name]
+    mutant = _mutant(getattr(ellmat.arrangement, name), *edits)
     monkeypatch.setattr(ellmat.arrangement, name, mutant)
-    for args in ((10, 3, 3, -1, 2, 1, 3), (9, 4, 1, 0, 1, 1, 3), (7, 3, 7, 0, 1, 1, 3)):
+    for args in kinds:
         for seed in (1, 9):
             arr = random_arrangement(*args, seed=seed)
             assert arr.curve.N == 1

@@ -247,7 +247,7 @@ def test_commands_expand_only_what_they_walk(sqrt3_file, tmp_path, capsys, monke
     random_args = ("--k", "3", "--n", "2", "--m", "1", "--tau", "0,1,1", "--bound", "3")
     # dual walks A only; the stacked arrangement is printed and saved.
     # random writes a matrix it never walks; verify walks A, the stacked
-    # one and, for coker-xcheck, A over C/R.
+    # one and, for coker-xcheck, sigma(A)*W over C/R.
     for args, expected in (
         (("dual", sqrt3_file, "--emit-arrangement", str(tmp_path / "stacked.json")), 1),
         (("random", *random_args, "--seed", "1", "--out", str(tmp_path / "random.json")), 0),
