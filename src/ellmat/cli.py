@@ -14,7 +14,8 @@ Subcommands:
     random --k K --n N --m M --tau a,b,c --bound B --seed S [--out FILE]
                                     seeded arrangement file
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 an internal
+fault; the traceback is on stderr.
 """
 
 import argparse
@@ -96,7 +97,7 @@ def _print_rows(rows: list[tuple[str, ...]]) -> None:
         print("  ".join(cells))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> None:
     arr = load_arrangement(args.file)
     tables, chains = arr.torsion_chains()
     matroid = ArithmeticMatroid(*tables)
@@ -135,7 +136,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             },
         }
         print(json.dumps(doc, indent=2))
-        return 0
+        return
 
     for line in _order_info_lines(arr.curve):
         print(line)
@@ -156,10 +157,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("gcd property: PASS")
     else:
         print(f"gcd property: FAIL (witness {format_subset(witness)})")
-    return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> bool:
     arr = load_arrangement(args.file)
     selected = AXIOM_CHOICES if args.axioms is None else tuple(args.axioms)
     named = ("rank", *selected, *(("p-equivalence",) if "p" in selected else ()))
@@ -183,16 +183,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 print(f"{name}: ok")
         print(f"result: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return ok
 
 
-def cmd_tutte(args: argparse.Namespace) -> int:
+def cmd_tutte(args: argparse.Namespace) -> None:
     arr = load_arrangement(args.file)
     print(tutte_str(tutte(from_arrangement(arr))))
-    return 0
 
 
-def cmd_euler(args: argparse.Namespace) -> int:
+def cmd_euler(args: argparse.Namespace) -> None:
     arr = load_arrangement(args.file)
     matroid = from_arrangement(arr)
     essential = matroid.full_rank == arr.n
@@ -202,20 +201,16 @@ def cmd_euler(args: argparse.Namespace) -> int:
             f"note: non-essential arrangement (rank {matroid.full_rank} < ambient {arr.n}); "
             "the complement has Euler characteristic 0"
         )
-    return 0
 
 
-def cmd_gcd_check(args: argparse.Namespace) -> int:
+def cmd_gcd_check(args: argparse.Namespace) -> bool:
     arr = load_arrangement(args.file)
     holds, witness = gcd_property(from_arrangement(arr))
-    if holds:
-        print("PASS")
-        return 0
-    print(f"FAIL (witness {format_subset(witness)})")
-    return 1
+    print("PASS" if holds else f"FAIL (witness {format_subset(witness)})")
+    return holds
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
+def cmd_dual(args: argparse.Namespace) -> None:
     arr = load_arrangement(args.file)
     dual = from_arrangement(arr).dual()
     stacked, t_mask = dual_arrangement(arr)
@@ -233,7 +228,6 @@ def cmd_dual(args: argparse.Namespace) -> int:
     )
     if args.emit_arrangement:
         print(f"wrote {args.emit_arrangement}")
-    return 0
 
 
 def _parse_tau(text: str) -> tuple[int, int, int]:
@@ -247,22 +241,20 @@ def _parse_tau(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def cmd_order_info(args: argparse.Namespace) -> int:
+def cmd_order_info(args: argparse.Namespace) -> None:
     a, b, c = _parse_tau(args.tau)
     curve = make_curve(make_field(args.m), a, b, c)
     for line in _order_info_lines(curve):
         print(line)
-    return 0
 
 
-def cmd_random(args: argparse.Namespace) -> int:
+def cmd_random(args: argparse.Namespace) -> None:
     a, b, c = _parse_tau(args.tau)
     arr = random_arrangement(args.k, args.n, args.m, a, b, c, args.bound, args.seed)
     if args.out:
         save_arrangement(arr, args.out)
     else:
         sys.stdout.write(serialize_arrangement(arr))
-    return 0
 
 
 def _axioms_list(text: str) -> list[str]:
@@ -332,13 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place that turns its outcome into an exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        verdict = args.func(args)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return 3
+    return 1 if verdict is False else 0
 
 
 if __name__ == "__main__":

@@ -127,7 +127,9 @@ class RingMatrix(_Matrix):
         if as_int(n, "column count") < 0:
             raise ParameterError("column count must be non-negative")
         try:
+            # Rows, then each row, read once, so _refusal walks what was read.
             entries = list(entries)
+            entries = [*map(tuple, entries)]
             rows = tuple([tuple(map(tuple, row)) for row in entries])
         except TypeError:
             raise _refusal(entries) from None

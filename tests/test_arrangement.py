@@ -17,6 +17,7 @@ from ellmat import (
     ParameterError,
     RingMatrix,
     check_axioms,
+    cli,
     dual_arrangement,
     expand_lambda,
     from_arrangement,
@@ -24,6 +25,7 @@ from ellmat import (
     make_field,
     random_arrangement,
     row_select,
+    save_arrangement,
     smith_form,
 )
 from hypothesis import assume, given, settings
@@ -582,8 +584,8 @@ def test_superset_walk_is_linear_in_the_fixed_width():
     assert time.monotonic() - start < 2.0
 
 
-def test_walk_raises_on_odd_rank(monkeypatch):
-    arr = new_realization_sqrt3()
+def _odd_rank_expansions(monkeypatch, arr):
+    """Zero row k of every expansion of arr's shape, so that its lattice has odd rank."""
 
     def odd(matrix):
         rows = expand_lambda(matrix)
@@ -591,8 +593,31 @@ def test_walk_raises_on_odd_rank(monkeypatch):
         return rows
 
     monkeypatch.setattr(ellmat.arrangement, "expand_lambda", odd)
+
+
+def test_walk_raises_on_odd_rank(monkeypatch):
+    arr = new_realization_sqrt3()
+    _odd_rank_expansions(monkeypatch, arr)
     with pytest.raises(AssertionError, match="even rank"):
         arr.reports()
+
+
+def _assert_fault_exit(capsys, argv):
+    """cli.main exits 3 on the walk's even-rank fault: no output, its traceback on stderr."""
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nAssertionError: lattice expansions of order maps have even rank\n")
+
+
+def test_walk_fault_exits_3(monkeypatch, tmp_path, capsys):
+    # A fault of the program is neither a refused input (2) nor a verdict (1).
+    arr = new_realization_sqrt3()
+    path = tmp_path / "sqrt3.json"
+    save_arrangement(arr, path)
+    _odd_rank_expansions(monkeypatch, arr)
+    _assert_fault_exit(capsys, ["tutte", str(path)])
 
 
 # The five input kinds of perfbench/run.py, as random_arrangement arguments.
@@ -776,7 +801,8 @@ TWO_COLUMN_KINDS = (
 # rank-deficient node read as its pivot product, and an echelon step that
 # divides |x| by |a| and so leaves the column's entry.  On seed 9 of the
 # second two-column kind that step breaks the sigma(A)*W walk's even-rank
-# invariant, which raises instead of giving a verdict.
+# invariant, which raises instead of giving a verdict, and `ellmat` exits 3
+# there.
 WALK_MUTANTS = {
     "_multiplicity": (
         (("_column_index(rows)", "abs(prod(next(filter(None, r)) for r in rows))"),),
@@ -803,6 +829,16 @@ def test_coker_xcheck_flags_walk_defects_on_n1_curves(monkeypatch, name):
             assert arr.curve.N == 1
             found = check_axioms(from_arrangement(arr), ("coker-xcheck", "dual"), arr)
             assert found["coker-xcheck"] and found["dual"], (args, seed)
+
+
+def test_walk_defect_exits_3_not_as_a_failed_verdict(monkeypatch, tmp_path, capsys):
+    edits, _ = WALK_MUTANTS["echelon_insert"]
+    monkeypatch.setattr(
+        ellmat.arrangement, "echelon_insert", _mutant(ellmat.arrangement.echelon_insert, *edits)
+    )
+    path = tmp_path / "seed9.json"
+    save_arrangement(random_arrangement(*TWO_COLUMN_KINDS[1], seed=9), path)
+    _assert_fault_exit(capsys, ["verify", str(path), "--axioms", "coker-xcheck"])
 
 
 def test_subset_report_raises_on_odd_rank(monkeypatch):

@@ -468,6 +468,19 @@ def test_file_entry_limit_exit_code(tmp_path, capsys):
             assert (code, out, err) == (2, "", f"error: a {rows} x {cols} matrix {limit}\n")
 
 
+def test_file_at_the_entry_limit_exit_code(tmp_path, capsys):
+    # A legal file of ENTRY_LIMIT real entries is read and converted whole,
+    # then refused by the ground-set cap, in bounded time.
+    row = [[j % 7 - 3, j % 5 - 2] for j in range(1000)]
+    doc = dict(FIXTURE_SQRT3_DOC, matrix={"rows": 1000, "cols": 1000, "entries": [row] * 1000})
+    path = tmp_path / "entry_limit.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert time.monotonic() - start < 10.0
+    assert (code, out, err) == (2, "", "error: ground set of 1000 elements exceeds the cap of 20\n")
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # Importing either costs every process start-up time.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))

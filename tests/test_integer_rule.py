@@ -95,9 +95,11 @@ def test_ring_matrix_names_the_entry_as_given():
     with pytest.raises(ParameterError) as info:
         RingMatrix(curve_sqrt3(), 2, [[(1, 0), (0, 1)], [(2, 0), [1.5, 0]]])
     assert str(info.value) == "entries[1][1]: expected a pair of ints, got [1.5, 0]"
-    # The rows of a one-shot iterator are read once and named all the same.
+    # The rows of a one-shot iterator, and a row that is one, are read once
+    # and named all the same.
     float_pair = "entries[1][0]: expected a pair of ints, got [1.5, 0]"
     for entries, message in (
+        ([iter([[1.5, 0]])], "entries[0][0]: expected a pair of ints, got [1.5, 0]"),
         ((row for row in ([(1, 0)], [[1.5, 0]])), float_pair),
         (iter([[(1, 0)], [[1.5, 0]]]), float_pair),
         ((row for row in ([(1, 0)], None)), "entries[1]: expected a row of entries, got None"),
